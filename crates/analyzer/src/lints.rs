@@ -8,11 +8,11 @@
 //!   `workloads`, `store`, `riscv` — may not observe wall-clock time or iterate
 //!   seed-dependent hash maps; the harness's timing modules are the
 //!   explicit whitelist.
-//! * *Daemon files* — `serve.rs`, `protocol.rs`, `store.rs` — may not
-//!   panic on untrusted input: no `unwrap`/`expect`/`panic!`/indexing
-//!   outside `#[cfg(test)]`.
+//! * *Request-path files* — `store.rs` — may not panic on untrusted
+//!   input: no `unwrap`/`expect`/`panic!`/indexing outside
+//!   `#[cfg(test)]`.
 //! * Schema lints cross-check one source of truth against its mirrors
-//!   (stats schema, protocol status codes, CLI exit codes, doc links).
+//!   (stats schema, CLI exit codes, doc links).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -54,7 +54,7 @@ pub fn all() -> &'static [LintSpec] {
         LintSpec {
             id: "panic-hygiene",
             severity: Severity::Error,
-            summary: "no unwrap/expect/panic!/indexing in daemon and store request paths",
+            summary: "no unwrap/expect/panic!/indexing in store request paths",
             run: panic_hygiene,
         },
         LintSpec {
@@ -68,12 +68,6 @@ pub fn all() -> &'static [LintSpec] {
             severity: Severity::Error,
             summary: "every SimStats counter appears in visit_stat_fields, and nothing else does",
             run: schema_stats,
-        },
-        LintSpec {
-            id: "protocol-codes",
-            severity: Severity::Error,
-            summary: "status codes agree between serve.rs, protocol.rs and ARCHITECTURE.md",
-            run: protocol_codes,
         },
         LintSpec {
             id: "exit-codes",
@@ -109,22 +103,15 @@ const DETERMINISTIC_CRATES: &[&str] = &[
 ];
 
 /// Harness modules whose *job* is measuring host wall time (cold/warm
-/// speedups, serve uptime, load latency, connect deadlines).
+/// speedups, per-point sweep timings).
 const WALL_CLOCK_WHITELIST: &[&str] = &[
     "crates/harness/src/runner.rs",
-    "crates/harness/src/load.rs",
-    "crates/harness/src/serve.rs",
     "crates/harness/src/sweep.rs",
     "crates/harness/src/report.rs",
-    "crates/harness/src/protocol.rs",
 ];
 
-/// Files that answer untrusted input and therefore must not panic.
-const PANIC_FREE_FILES: &[&str] = &[
-    "crates/harness/src/serve.rs",
-    "crates/harness/src/protocol.rs",
-    "crates/store/src/store.rs",
-];
+/// Files that read untrusted input and therefore must not panic.
+const PANIC_FREE_FILES: &[&str] = &["crates/store/src/store.rs"];
 
 fn crate_of(rel: &str) -> Option<&str> {
     rel.strip_prefix("crates/")?.split('/').next()
@@ -263,17 +250,14 @@ fn panic_hygiene(ctx: &Ctx, out: &mut Vec<Finding>) {
                 .unwrap_or("");
             let next = toks.get(k + 1).map(|n| n.text.as_str()).unwrap_or("");
             let bad = match (t.kind, t.text.as_str()) {
-                (TokKind::Ident, "unwrap" | "expect") if prev == "." && next == "(" => {
-                    Some(format!(
-                        "`.{}()` can panic; surface a 4xx/500 protocol error or recover",
-                        t.text
-                    ))
-                }
+                (TokKind::Ident, "unwrap" | "expect") if prev == "." && next == "(" => Some(
+                    format!("`.{}()` can panic; return an error or recover", t.text),
+                ),
                 (TokKind::Ident, "panic" | "unreachable" | "todo" | "unimplemented")
                     if next == "!" =>
                 {
                     Some(format!(
-                        "`{}!` kills the worker thread; daemon paths must return errors",
+                        "`{}!` aborts the caller; request paths must return errors",
                         t.text
                     ))
                 }
@@ -492,135 +476,6 @@ fn schema_stats(ctx: &Ctx, out: &mut Vec<Finding>) {
                 *line,
                 *col,
                 format!("schema field `{name}` does not correspond to any SimStats counter"),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------- schema: protocol codes
-
-fn status_code_of(s: &str) -> Option<&str> {
-    let code = s.get(..3)?;
-    if code.chars().all(|c| c.is_ascii_digit())
-        && matches!(code.as_bytes()[0], b'2' | b'4' | b'5')
-        && s[3..].chars().next().map(|c| c == ' ').unwrap_or(true)
-    {
-        Some(code)
-    } else {
-        None
-    }
-}
-
-fn protocol_codes(ctx: &Ctx, out: &mut Vec<Finding>) {
-    let Some(serve) = ctx.files.iter().find(|f| f.rel.ends_with("src/serve.rs")) else {
-        return;
-    };
-    // Codes the server actually emits: string literals starting with a
-    // 3-digit status code, outside tests.
-    let mut emitted: BTreeMap<String, (u32, u32)> = BTreeMap::new();
-    for t in code_tokens(serve) {
-        if t.kind != TokKind::Str {
-            continue;
-        }
-        let inner = t.text.trim_start_matches(['b', 'r', '#']).trim_matches('"');
-        if let Some(code) = status_code_of(inner) {
-            emitted.entry(code.to_string()).or_insert((t.line, t.col));
-        }
-    }
-
-    // Codes the protocol module documents (comment lines beginning with
-    // a status code, e.g. the grammar's response examples).
-    let proto = ctx
-        .files
-        .iter()
-        .find(|f| f.rel.ends_with("src/protocol.rs"));
-    let mut proto_doc: BTreeMap<String, u32> = BTreeMap::new();
-    if let Some(p) = proto {
-        for t in p.tokens.iter().filter(|t| t.kind == TokKind::Comment) {
-            for (off, line) in t.text.lines().enumerate() {
-                let body = line.trim_start_matches(['/', '!', '*']).trim_start();
-                if let Some(code) = status_code_of(body) {
-                    proto_doc
-                        .entry(code.to_string())
-                        .or_insert(t.line + off as u32);
-                }
-            }
-        }
-    }
-
-    // Codes ARCHITECTURE.md documents: backtick spans starting with a
-    // code, plus fenced example lines.
-    let arch = ctx.read_text("docs/ARCHITECTURE.md");
-    let mut arch_doc: BTreeMap<String, u32> = BTreeMap::new();
-    if let Some(text) = &arch {
-        let mut in_fence = false;
-        for (ln, line) in text.lines().enumerate() {
-            let ln = ln as u32 + 1;
-            if line.trim_start().starts_with("```") {
-                in_fence = !in_fence;
-                continue;
-            }
-            if in_fence {
-                if let Some(code) = status_code_of(line.trim_start()) {
-                    arch_doc.entry(code.to_string()).or_insert(ln);
-                }
-                continue;
-            }
-            for (i, span) in line.split('`').enumerate() {
-                if i % 2 == 1 {
-                    if let Some(code) = status_code_of(span) {
-                        arch_doc.entry(code.to_string()).or_insert(ln);
-                    }
-                }
-            }
-        }
-    }
-
-    for (code, (line, col)) in &emitted {
-        if proto.is_some() && !proto_doc.contains_key(code) {
-            push(
-                out,
-                "protocol-codes",
-                &serve.rel,
-                *line,
-                *col,
-                format!(
-                    "status `{code}` is emitted here but absent from the protocol.rs grammar doc"
-                ),
-            );
-        }
-        if arch.is_some() && !arch_doc.contains_key(code) {
-            push(
-                out,
-                "protocol-codes",
-                &serve.rel,
-                *line,
-                *col,
-                format!("status `{code}` is emitted here but absent from docs/ARCHITECTURE.md"),
-            );
-        }
-    }
-    for (code, line) in &proto_doc {
-        if !emitted.contains_key(code) {
-            push(
-                out,
-                "protocol-codes",
-                &proto.unwrap().rel,
-                *line,
-                1,
-                format!("status `{code}` is documented here but serve.rs never emits it"),
-            );
-        }
-    }
-    for (code, line) in &arch_doc {
-        if !emitted.contains_key(code) {
-            push(
-                out,
-                "protocol-codes",
-                "docs/ARCHITECTURE.md",
-                *line,
-                1,
-                format!("status `{code}` is documented here but serve.rs never emits it"),
             );
         }
     }

@@ -1,9 +1,9 @@
-//! Daemon paths answer malformed input with status lines, not panics.
+//! Store request paths answer malformed entries with errors, not panics.
 
-pub fn handle(line: &str) -> Result<u64, String> {
+pub fn decode(line: &str) -> Result<u64, String> {
     match line.parse::<u64>() {
         Ok(n) => Ok(n),
-        Err(e) => Err(format!("400 {e}")),
+        Err(e) => Err(format!("corrupt entry: {e}")),
     }
 }
 
@@ -16,6 +16,6 @@ mod tests {
     #[test]
     fn tests_may_unwrap() {
         let xs = [1u64, 2];
-        assert_eq!(super::handle("1").unwrap(), xs[0]);
+        assert_eq!(super::decode("1").unwrap(), xs[0]);
     }
 }

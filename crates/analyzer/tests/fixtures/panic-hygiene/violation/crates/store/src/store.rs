@@ -1,6 +1,6 @@
-//! Three ways a daemon dies on untrusted input.
+//! Three ways a store read dies on a corrupt entry.
 
-pub fn handle(line: &str) -> u64 {
+pub fn decode(line: &str) -> u64 {
     let n: u64 = line.parse().unwrap();
     if n > 100 {
         panic!("too big");

@@ -48,21 +48,6 @@ use crate::samie::{SamieConfig, SamieLsq};
 use crate::traits::LoadStoreQueue;
 use crate::unbounded::UnboundedLsq;
 
-/// A concrete (unboxed) LSQ instance for one of the paper's three
-/// headline families, produced by [`DesignSpec::build_fast_path`] /
-/// [`crate::LsqFactory::build_fast_path`]. Callers match once and run a
-/// fully monomorphized simulator per variant; everything else goes
-/// through the object-safe `Box<dyn LoadStoreQueue>` edge.
-#[derive(Debug)]
-pub enum FastPathLsq {
-    /// The conventional age-ordered baseline.
-    Conventional(ConventionalLsq),
-    /// The Bloom-filtered baseline.
-    Filtered(FilteredLsq),
-    /// SAMIE-LSQ.
-    Samie(SamieLsq),
-}
-
 /// A fully-specified LSQ design — every geometry parameter pinned.
 ///
 /// See the [module docs](self) for the spec-string syntax and examples.
@@ -232,33 +217,6 @@ impl DesignSpec {
             DesignSpec::Arb(cfg) => Box::new(ArbLsq::new(cfg)),
             DesignSpec::Unbounded => Box::new(UnboundedLsq::new()),
             DesignSpec::Oracle => Box::new(OracleLsq::new()),
-        }
-    }
-
-    /// Unboxed construction for the paper's three headline families —
-    /// the simulator monomorphizes its hot loop over the concrete type,
-    /// eliding the `Box<dyn LoadStoreQueue>` virtual dispatch on every
-    /// LSQ call. Must construct exactly what [`build`](Self::build)
-    /// constructs (the fast path is a layout change, never a behaviour
-    /// change); returns `None` for the other families and for invalid
-    /// specs (letting `build()` stay the single panicking edge).
-    pub fn build_fast_path(&self) -> Option<FastPathLsq> {
-        if self.validate().is_err() {
-            return None;
-        }
-        match *self {
-            DesignSpec::Conventional { entries } => Some(FastPathLsq::Conventional(
-                ConventionalLsq::with_capacity(entries),
-            )),
-            DesignSpec::Filtered {
-                entries,
-                buckets,
-                hashes,
-            } => Some(FastPathLsq::Filtered(FilteredLsq::new(
-                entries, buckets, hashes,
-            ))),
-            DesignSpec::Samie(cfg) => Some(FastPathLsq::Samie(SamieLsq::new(cfg))),
-            _ => None,
         }
     }
 

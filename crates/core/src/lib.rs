@@ -58,7 +58,7 @@ pub use agering::AgeRing;
 pub use arb::{ArbConfig, ArbLsq};
 pub use checked::{checked, CheckedLsq};
 pub use conventional::ConventionalLsq;
-pub use design::{DesignParseError, DesignSpec, FastPathLsq};
+pub use design::{DesignParseError, DesignSpec};
 pub use filtered::{CountingBloom, FilteredLsq};
 pub use oracle::OracleLsq;
 pub use registry::{DesignHandle, DesignRegistry, LsqFactory};

@@ -51,17 +51,6 @@ pub trait LsqFactory: Send + Sync {
 
     /// Build a fresh instance of the design.
     fn build(&self) -> Box<dyn LoadStoreQueue>;
-
-    /// Build a fresh *unboxed* instance if this design is one of the
-    /// paper's three headline families, letting the simulator
-    /// monomorphize its hot loop (no virtual dispatch per LSQ call).
-    /// Defaults to `None` — custom factories (instrumented wrappers,
-    /// checked cross-validators, ...) keep the `Box<dyn>` path and must
-    /// only override this if the fast instance is behaviourally
-    /// identical to [`build`](Self::build).
-    fn build_fast_path(&self) -> Option<crate::design::FastPathLsq> {
-        None
-    }
 }
 
 impl LsqFactory for DesignSpec {
@@ -71,10 +60,6 @@ impl LsqFactory for DesignSpec {
 
     fn build(&self) -> Box<dyn LoadStoreQueue> {
         DesignSpec::build(self)
-    }
-
-    fn build_fast_path(&self) -> Option<crate::design::FastPathLsq> {
-        DesignSpec::build_fast_path(self)
     }
 }
 

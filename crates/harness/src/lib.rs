@@ -34,10 +34,10 @@
 //! command.
 //!
 //! Because the store is multi-process safe, one grid also spreads across
-//! worker **processes**: `samie-exp sweep --shard i/n` runs one slice,
-//! `--workers N` spawns and supervises all of them and merges the result
-//! by reconciling the full grid against the store ([`shard`] module) —
-//! deterministically byte-identical to a serial sweep.
+//! worker **processes**: `samie-exp sweep --shard i/n` runs one slice
+//! ([`sweep::ShardSpec`]) into a shared store, and a final unsharded
+//! `sweep` over that store merges the slices — deterministically
+//! byte-identical to a serial sweep.
 //!
 //! ## The front door
 //!
@@ -54,37 +54,26 @@ pub mod chart;
 pub mod experiment;
 pub mod experiments;
 pub mod fuzz;
-pub mod load;
 pub mod profile;
-pub mod protocol;
 pub mod report;
 pub mod runner;
-pub mod serve;
 pub mod session;
-pub mod shard;
 pub mod sweep;
 pub mod table;
 
 pub use chart::svg_bar_chart;
 pub use exp_store::{ExperimentStore, PointKey, StoredPoint, SIM_VERSION};
-pub use experiment::{
-    BenchSel, ConfigOverrides, ExperimentParseError, ExperimentRequest, ExperimentSpec, Priority,
-};
+pub use experiment::{BenchSel, ConfigOverrides, ExperimentParseError, ExperimentSpec};
 pub use fuzz::{differential_check, run_fuzz, FuzzConfig, FuzzMismatch, FuzzReport};
-pub use load::{run_load, LoadOptions, LoadReport, MixSpec};
 pub use profile::{run_profile, ProfilePoint, ProfileReport};
-pub use protocol::{parse_request, Request, Response, ServerConn, DEFAULT_ADDR};
 pub use report::{generate_book, BookSummary, ReportOptions};
 pub use runner::{
     parallel_map, parallel_map_with, run_one, run_one_configured, run_paired, run_paired_suite,
     run_paired_suite_with, PairedRun, PointCache, RunConfig, Runner,
 };
 pub use samie_lsq::{DesignHandle, DesignParseError, DesignRegistry, DesignSpec, LsqFactory};
-pub use serve::{run_serve, ServeOptions};
 pub use session::{DesignRun, SessionEvent, SessionReport, SimSession};
-pub use shard::{Coordinator, FabricReport, ShardSpec, WorkerOutcome};
 pub use sweep::{
-    designs_from_specs, run_sweep, run_sweep_cached, run_sweep_sharded, SweepGrid, SweepPoint,
-    SweepReport,
+    designs_from_specs, run_sweep, ShardSpec, SweepGrid, SweepOptions, SweepPoint, SweepReport,
 };
 pub use table::Table;

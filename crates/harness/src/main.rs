@@ -16,8 +16,7 @@
 //!   all       everything above
 //!
 //! samie-exp sweep [--exp SPEC] [--designs LIST] [--bench LIST|all]
-//!                 [--seeds LIST] [--jobs N] [--shard I/N | --workers N]
-//!                 [common flags]
+//!                 [--seeds LIST] [--jobs N] [--shard I/N] [common flags]
 //!   design-space grid: LSQ designs x workloads x seeds -> CSV +
 //!   BENCH_sweep.json (+ timing-zeroed BENCH_sweep.det.{json,csv}, the
 //!   byte-comparable artifacts). Designs are DesignSpec strings (run
@@ -25,18 +24,14 @@
 //!   comma-separated.
 //!
 //!   --exp takes a whole typed ExperimentSpec in one string —
-//!   `design=conv:128,samie bench=gzip,swim seed=1,2 cfg=rob:128` — the
-//!   same grammar `samie-exp serve` accepts over the wire; the explicit
-//!   flags override individual fields of it.
+//!   `design=conv:128,samie bench=gzip,swim seed=1,2 cfg=rob:128`; the
+//!   explicit flags override individual fields of it.
 //!
-//!   Multi-process fabric: --shard i/n runs only worker i's slice of the
-//!   grid against the shared --store; --workers N spawns N such worker
-//!   processes, restarts any that die (up to --max-restarts, default 2;
-//!   a restarted worker resumes from the store), then reconciles the
-//!   full grid against the store and writes a merged report whose
+//!   --shard i/n runs only worker i's slice of the grid against the
+//!   shared --store. Run n such workers (as separate processes), then a
+//!   plain `sweep` over the same store: it serves every point a worker
+//!   finished, simulates any stragglers, and writes a report whose
 //!   deterministic JSON/CSV is byte-identical to a serial run.
-//!   --chaos-kill I [--chaos-delay-ms MS] SIGKILLs worker I once, for
-//!   crash-recovery drills (the CI shard-smoke job).
 //!
 //! samie-exp bench [--baseline FILE] [--max-regression X] [common flags]
 //!   fixed throughput-tracking grid; with --baseline, exits 3 if
@@ -79,24 +74,6 @@
 //!   rebuild the index; with --dump, print every entry in deterministic
 //!   sorted text form (timing excluded) for byte-for-byte store diffs.
 //!
-//! samie-exp serve [--addr HOST:PORT] [--jobs N] [--queue-cap N]
-//!                 [--store DIR]
-//!   simulation-as-a-service: accept ExperimentSpec requests over a
-//!   line-delimited TCP protocol, dedup against the store, run them on
-//!   a bounded worker pool with priority classes and backpressure, and
-//!   stream per-job progress. Refuses to start if the store cannot be
-//!   opened. SHUTDOWN drains in-flight jobs and journals the queue so a
-//!   restart resumes exactly.
-//!
-//! samie-exp load [--addr HOST:PORT] [--clients N] [--requests N]
-//!                [--mix H/M/D] [--exp SPEC] [--shutdown] [--out DIR]
-//!   client-side load generator for `serve`: a configurable mix of
-//!   store-hit / miss / duplicate requests from N concurrent clients,
-//!   reporting throughput and p50/p99 latency split by hit vs simulated
-//!   into BENCH_serve.json (+ SWEEP_equivalent.txt, the canonical spec
-//!   covering everything submitted — `sweep --exp "$(cat ...)"` must
-//!   produce a byte-identical store).
-//!
 //! samie-exp analyze
 //!   run the repo-specific static-analysis lints (determinism,
 //!   panic-hygiene, unsafe audit, schema/doc consistency) over the
@@ -120,6 +97,9 @@
 //! --store DIR (default .samie-store) and only simulate cache misses;
 //! --no-cache forces full recomputation. bench never caches — it exists
 //! to measure simulation throughput.
+//!
+//! A malformed flag (unknown, missing its value, or with an unparseable
+//! value) prints one `samie-exp: ...` line naming the flag and exits 2.
 //! ```
 
 use std::path::PathBuf;
@@ -127,13 +107,10 @@ use std::path::PathBuf;
 use exp_harness::experiment::{BenchSel, ExperimentSpec};
 use exp_harness::experiments::{fig1, fig3_4, paired, tab1_delay, tab456};
 use exp_harness::fuzz::{run_fuzz, FuzzConfig};
-use exp_harness::load::{run_load, LoadOptions, MixSpec};
 use exp_harness::report::{generate_book, ReportOptions};
 use exp_harness::runner::{run_paired_suite, PointCache, RunConfig, Runner};
-use exp_harness::serve::{run_serve, ServeOptions};
 use exp_harness::session::SimSession;
-use exp_harness::shard::{Coordinator, ShardSpec};
-use exp_harness::sweep::{check_regression, run_sweep_cached, run_sweep_sharded, SweepGrid};
+use exp_harness::sweep::{check_regression, run_sweep, ShardSpec, SweepOptions};
 use exp_harness::table::Table;
 use exp_harness::{DesignRegistry, DesignSpec, SIM_VERSION};
 use spec_traces::{all_benchmarks, find_workload, Workload};
@@ -155,8 +132,6 @@ enum Command {
     Record,
     Report,
     Store,
-    Serve,
-    Load,
     Analyze,
     /// Real-ISA frontend: `rv asm FILE.s` / `rv run <FILE.s|rv:NAME>`.
     Rv,
@@ -179,8 +154,6 @@ impl Command {
             "record" => return Ok(Command::Record),
             "report" => return Ok(Command::Report),
             "store" => return Ok(Command::Store),
-            "serve" => return Ok(Command::Serve),
-            "load" => return Ok(Command::Load),
             "analyze" => return Ok(Command::Analyze),
             "rv" => return Ok(Command::Rv),
             _ => {}
@@ -193,7 +166,7 @@ impl Command {
             .copied()
             .chain([
                 "sweep", "bench", "profile", "designs", "fuzz", "record", "report", "store",
-                "serve", "load", "analyze", "rv",
+                "analyze", "rv",
             ])
             .collect();
         let mut msg = format!("unknown command `{word}`");
@@ -254,24 +227,35 @@ struct Args {
     gc: bool,
     expect_warm: Option<f64>,
     shard: Option<ShardSpec>,
-    workers: usize,
-    max_restarts: usize,
-    chaos_kill: Option<usize>,
-    chaos_delay_ms: u64,
     exp: Option<String>,
-    addr: String,
-    queue_cap: usize,
-    clients: usize,
-    requests: usize,
-    mix: MixSpec,
-    shutdown: bool,
     dump: bool,
     /// Extra positionals after the command word (only `rv` takes any:
     /// the subcommand verb and its target).
     positionals: Vec<String>,
 }
 
-fn parse_args() -> Args {
+/// A value-taking flag's argument: the next word, unless the command
+/// line ends or the next word is itself a flag.
+fn flag_value(flag: &str, it: &mut impl Iterator<Item = String>) -> Result<String, String> {
+    match it.next() {
+        Some(v) if !v.starts_with("--") => Ok(v),
+        _ => Err(format!("{flag}: missing value")),
+    }
+}
+
+/// A flag's value parsed as a number.
+fn flag_number<T: std::str::FromStr>(
+    flag: &str,
+    it: &mut impl Iterator<Item = String>,
+) -> Result<T, String> {
+    let v = flag_value(flag, it)?;
+    v.parse()
+        .map_err(|_| format!("{flag}: expected a number, got \"{v}\""))
+}
+
+/// Parse the command line. A malformed flag is an `Err` holding one
+/// diagnostic line that names it.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut command = None;
     let mut rc = RunConfig::default();
     let mut instrs_set = false;
@@ -291,38 +275,25 @@ fn parse_args() -> Args {
     let mut gc = false;
     let mut expect_warm = None;
     let mut shard = None;
-    let mut workers = 0;
-    let mut max_restarts = 2;
-    let mut chaos_kill = None;
-    let mut chaos_delay_ms = 400;
     let mut exp = None;
-    let mut addr = String::from(exp_harness::DEFAULT_ADDR);
-    let mut queue_cap = 64;
-    let mut clients = 4;
-    let mut requests = 16;
-    let mut mix = MixSpec {
-        hit: 50,
-        miss: 30,
-        dup: 20,
-    };
-    let mut shutdown = false;
     let mut dump = false;
     let mut positionals = Vec::new();
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(a) = it.next() {
+        let it = &mut it;
         match a.as_str() {
             "--instrs" => {
-                rc.instrs = it.next().expect("--instrs N").parse().expect("number");
+                rc.instrs = flag_number(&a, it)?;
                 instrs_set = true;
             }
             "--warmup" => {
-                rc.warmup = it.next().expect("--warmup N").parse().expect("number");
+                rc.warmup = flag_number(&a, it)?;
                 warmup_set = true;
             }
-            "--seed" => rc.seed = it.next().expect("--seed N").parse().expect("number"),
-            "--iters" => iters = it.next().expect("--iters N").parse().expect("number"),
+            "--seed" => rc.seed = flag_number(&a, it)?,
+            "--iters" => iters = flag_number(&a, it)?,
             "--out" => {
-                out = PathBuf::from(it.next().expect("--out DIR"));
+                out = PathBuf::from(flag_value(&a, it)?);
                 out_set = true;
             }
             "--chart" => chart = true,
@@ -333,79 +304,37 @@ fn parse_args() -> Args {
                 instrs_set = true;
                 warmup_set = true;
             }
-            "--designs" => designs = Some(it.next().expect("--designs LIST")),
-            "--bench" => benchmarks = Some(it.next().expect("--bench LIST")),
-            "--seeds" => seeds = Some(it.next().expect("--seeds LIST")),
-            "--jobs" => jobs = it.next().expect("--jobs N").parse().expect("number"),
-            "--baseline" => baseline = Some(PathBuf::from(it.next().expect("--baseline FILE"))),
-            "--max-regression" => {
-                max_regression = it
-                    .next()
-                    .expect("--max-regression X")
-                    .parse()
-                    .expect("number")
-            }
-            "--store" => store = PathBuf::from(it.next().expect("--store DIR")),
+            "--designs" => designs = Some(flag_value(&a, it)?),
+            "--bench" => benchmarks = Some(flag_value(&a, it)?),
+            "--seeds" => seeds = Some(flag_value(&a, it)?),
+            "--jobs" => jobs = flag_number(&a, it)?,
+            "--baseline" => baseline = Some(PathBuf::from(flag_value(&a, it)?)),
+            "--max-regression" => max_regression = flag_number(&a, it)?,
+            "--store" => store = PathBuf::from(flag_value(&a, it)?),
             "--no-cache" => no_cache = true,
             "--gc" => gc = true,
-            "--expect-warm" => {
-                expect_warm = Some(it.next().expect("--expect-warm X").parse().expect("number"))
-            }
+            "--expect-warm" => expect_warm = Some(flag_number(&a, it)?),
             "--shard" => {
-                shard = Some(
-                    it.next()
-                        .expect("--shard I/N")
-                        .parse::<ShardSpec>()
-                        .unwrap_or_else(|e| panic!("{e}")),
-                )
+                let v = flag_value(&a, it)?;
+                shard = Some(v.parse::<ShardSpec>().map_err(|e| format!("{a}: {e}"))?);
             }
-            "--workers" => workers = it.next().expect("--workers N").parse().expect("number"),
-            "--max-restarts" => {
-                max_restarts = it
-                    .next()
-                    .expect("--max-restarts N")
-                    .parse()
-                    .expect("number")
-            }
-            "--chaos-kill" => {
-                chaos_kill = Some(it.next().expect("--chaos-kill I").parse().expect("number"))
-            }
-            "--chaos-delay-ms" => {
-                chaos_delay_ms = it
-                    .next()
-                    .expect("--chaos-delay-ms MS")
-                    .parse()
-                    .expect("number")
-            }
-            "--exp" => exp = Some(it.next().expect("--exp SPEC")),
-            "--addr" => addr = it.next().expect("--addr HOST:PORT"),
-            "--queue-cap" => queue_cap = it.next().expect("--queue-cap N").parse().expect("number"),
-            "--clients" => clients = it.next().expect("--clients N").parse().expect("number"),
-            "--requests" => requests = it.next().expect("--requests N").parse().expect("number"),
-            "--mix" => {
-                mix = it
-                    .next()
-                    .expect("--mix H/M/D")
-                    .parse()
-                    .unwrap_or_else(|e| panic!("{e}"))
-            }
-            "--shutdown" => shutdown = true,
+            "--exp" => exp = Some(flag_value(&a, it)?),
             "--dump" => dump = true,
             "--help" | "-h" => {
-                eprintln!("usage: samie-exp <fig1|fig3|fig4|tab1|delay|fig5..fig12|tab456|summary|all|sweep|bench|profile|designs|fuzz|record|report|store|serve|load|analyze|rv> [--exp SPEC] [--instrs N] [--warmup N] [--seed N] [--out DIR] [--quick] [--chart] [--designs LIST] [--bench LIST] [--seeds LIST] [--jobs N] [--baseline FILE] [--max-regression X] [--iters N] [--store DIR] [--no-cache] [--gc] [--dump] [--expect-warm X] [--shard I/N] [--workers N] [--max-restarts N] [--chaos-kill I] [--chaos-delay-ms MS] [--addr HOST:PORT] [--queue-cap N] [--clients N] [--requests N] [--mix H/M/D] [--shutdown]");
+                eprintln!("usage: samie-exp <fig1|fig3|fig4|tab1|delay|fig5..fig12|tab456|summary|all|sweep|bench|profile|designs|fuzz|record|report|store|analyze|rv> [--exp SPEC] [--instrs N] [--warmup N] [--seed N] [--out DIR] [--quick] [--chart] [--designs LIST] [--bench LIST] [--seeds LIST] [--jobs N] [--baseline FILE] [--max-regression X] [--iters N] [--store DIR] [--no-cache] [--gc] [--dump] [--expect-warm X] [--shard I/N]");
                 std::process::exit(0);
             }
+            flag if flag.starts_with("--") => {
+                return Err(format!("unknown flag {flag} (run with --help)"));
+            }
             other if command.is_none() => {
-                command = Some(Command::parse(other).unwrap_or_else(|e| {
-                    eprintln!("{e}; run with --help");
-                    std::process::exit(2);
-                }));
+                command = Some(Command::parse(other).map_err(|e| format!("{e}; run with --help"))?);
             }
             other if command == Some(Command::Rv) => positionals.push(other.to_string()),
-            other => panic!("unexpected argument {other}"),
+            other => return Err(format!("unexpected argument `{other}`")),
         }
     }
-    Args {
+    Ok(Args {
         command: command.unwrap_or_else(|| Command::Paper("all".to_string())),
         rc,
         instrs_set,
@@ -425,20 +354,10 @@ fn parse_args() -> Args {
         gc,
         expect_warm,
         shard,
-        workers,
-        max_restarts,
-        chaos_kill,
-        chaos_delay_ms,
         exp,
-        addr,
-        queue_cap,
-        clients,
-        requests,
-        mix,
-        shutdown,
         dump,
         positionals,
-    }
+    })
 }
 
 /// `fuzz` entry point; returns the process exit code (4 on mismatch).
@@ -572,9 +491,7 @@ impl CacheState {
 
 /// Open the experiment store for a cache-consulting command. A failure
 /// is reported *and remembered*: cached CLI paths degrade to uncached
-/// execution but print the reason again in the report tail, and `serve`
-/// refuses to start on it (a daemon that silently stopped deduplicating
-/// would defeat its purpose).
+/// execution but print the reason again in the report tail.
 fn open_cache(args: &Args, disabled: bool) -> CacheState {
     if disabled {
         return CacheState::Disabled;
@@ -641,15 +558,12 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
             return 2;
         }
     };
-    // Sharding and the fabric distribute results through the store, and
-    // `bench` exists to measure raw simulation throughput — the modes
-    // are mutually exclusive.
-    if (args.shard.is_some() || args.workers > 0) && (is_bench || args.no_cache) {
-        eprintln!("--shard/--workers need the experiment store: use `sweep` without --no-cache");
+    // Shards hand their results over through the store, and `bench`
+    // exists to measure raw simulation throughput — the modes are
+    // mutually exclusive.
+    if args.shard.is_some() && (is_bench || args.no_cache) {
+        eprintln!("--shard needs the experiment store: use `sweep` without --no-cache");
         return 2;
-    }
-    if args.workers > 0 {
-        return run_fabric_command(args, &spec, &grid);
     }
     // `bench` is a throughput tracker: its number must be comparable
     // across hosts with different core counts, so it runs serially
@@ -678,14 +592,15 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
         spec.warmup,
         spec.instrs,
     );
-    let mut report = run_sweep_sharded(&grid, jobs, cache.cache(), args.shard);
+    let mut report = run_sweep(
+        &grid,
+        &SweepOptions {
+            jobs,
+            cache: cache.cache(),
+            shard: args.shard,
+        },
+    );
     report.mode = mode;
-    finish_sweep(args, report, &cache)
-}
-
-/// Shared tail of every sweep-family run: console table, cache summary,
-/// output files, optional baseline gate.
-fn finish_sweep(args: &Args, report: exp_harness::SweepReport, cache: &CacheState) -> i32 {
     println!("{}", report.table().render());
     if let Some(c) = cache.cache() {
         println!(
@@ -710,8 +625,13 @@ fn finish_sweep(args: &Args, report: exp_harness::SweepReport, cache: &CacheStat
         Err(e) => eprintln!("  (json not written: {e})"),
     }
     if let Some(path) = &args.baseline {
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
+        let baseline = match std::fs::read_to_string(path) {
+            Ok(b) => b,
+            Err(e) => {
+                eprintln!("cannot read baseline {}: {e}", path.display());
+                return 1;
+            }
+        };
         match check_regression(&report, &baseline, args.max_regression) {
             Ok(msg) => println!("baseline check OK: {msg}"),
             Err(msg) => {
@@ -765,96 +685,6 @@ fn run_profile_command(args: &Args) -> i32 {
             1
         }
     }
-}
-
-/// Coordinator mode (`sweep --workers N`): spawn N sharded worker
-/// processes over one grid and one store, supervise and restart them,
-/// then reconcile the full grid against the store and write the merged
-/// report — byte-identical (deterministic JSON/CSV) to a serial sweep.
-fn run_fabric_command(args: &Args, spec: &ExperimentSpec, grid: &SweepGrid) -> i32 {
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("cannot locate own binary to spawn workers: {e}");
-            return 1;
-        }
-    };
-    // Split the machine across workers unless --jobs pins a per-worker
-    // thread count explicitly.
-    let per_worker_jobs = if args.jobs > 0 {
-        args.jobs
-    } else {
-        let cores = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4);
-        (cores / args.workers).max(1)
-    };
-    // Workers get the *canonical* spec string, not a re-assembly of the
-    // coordinator's flags — one typed value describes the whole grid, so
-    // a worker cannot drift from the grid it is a shard of.
-    let base: Vec<String> = vec![
-        "sweep".into(),
-        "--exp".into(),
-        spec.to_string(),
-        "--store".into(),
-        args.store.display().to_string(),
-        "--jobs".into(),
-        per_worker_jobs.to_string(),
-    ];
-    let coordinator = Coordinator {
-        exe,
-        base_args: base,
-        workers: args.workers,
-        out_dir: args.out.clone(),
-        max_restarts: args.max_restarts,
-        chaos_kill: args.chaos_kill,
-        chaos_delay: std::time::Duration::from_millis(args.chaos_delay_ms),
-    };
-    let n = grid.designs.len() * grid.benchmarks.len() * grid.seeds.len();
-    eprintln!(
-        "fabric: {} workers x {} jobs over {n} points [store {}]",
-        args.workers,
-        per_worker_jobs,
-        args.store.display()
-    );
-    let fabric = match coordinator.run() {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("fabric failed to spawn workers: {e}");
-            return 1;
-        }
-    };
-    for w in &fabric.workers {
-        eprintln!(
-            "  worker {}: {}{}",
-            w.shard,
-            if w.ok { "completed" } else { "FAILED" },
-            match w.restarts {
-                0 => String::new(),
-                r => format!(" after {r} restart(s)"),
-            }
-        );
-    }
-    if fabric.chaos_killed {
-        eprintln!(
-            "  (chaos: worker {} was SIGKILLed once)",
-            args.chaos_kill.unwrap_or(0)
-        );
-    }
-    if !fabric.all_ok() {
-        eprintln!("  reconciling permanently-failed shards in-process");
-    }
-    // Reconcile-and-merge: the full grid against the shared store — every
-    // worker-computed point is a hit, stragglers are simulated here, and
-    // the merged rows are pure functions of the stored counters.
-    let cache = open_cache(args, false);
-    let Some(c) = cache.cache() else {
-        eprintln!("fabric cannot open the store it just swept into");
-        return 1;
-    };
-    let mut report = run_sweep_cached(grid, args.jobs, Some(c));
-    report.mode = "sweep";
-    finish_sweep(args, report, &cache)
 }
 
 /// `report` entry point: regenerate the reproduction book.
@@ -945,7 +775,7 @@ fn run_store_command(args: &Args) -> i32 {
     if args.dump {
         // Deterministic text form of every entry, sorted, timing
         // excluded — two stores holding the same results dump
-        // byte-identical text (the CI serve-vs-sweep equivalence gate).
+        // byte-identical text (a diffable record of what a store holds).
         match store.dump_deterministic() {
             Ok(text) => {
                 print!("{text}");
@@ -1034,111 +864,6 @@ fn run_store_command(args: &Args) -> i32 {
             "  (stale - `samie-exp store --gc` reclaims)"
         };
         println!("version {v}: {n} points{stale}");
-    }
-    0
-}
-
-/// `serve` entry point: the simulation-as-a-service daemon. Unlike the
-/// cached CLI paths, a store-open failure here is fatal — a server that
-/// cannot consult the store would silently re-simulate every request
-/// and never deduplicate, which is exactly the degradation `serve`
-/// exists to prevent.
-fn run_serve_command(args: &Args) -> i32 {
-    let cache = match PointCache::open(&args.store) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!(
-                "serve: refusing to start: cannot open experiment store {}: {e}",
-                args.store.display()
-            );
-            return 1;
-        }
-    };
-    let opts = ServeOptions {
-        addr: args.addr.clone(),
-        workers: args.jobs,
-        queue_cap: args.queue_cap,
-    };
-    match run_serve(&opts, cache) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("serve failed: {e}");
-            1
-        }
-    }
-}
-
-/// `load` entry point: drive a running server with a mixed workload and
-/// write BENCH_serve.json.
-fn run_load_command(args: &Args) -> i32 {
-    let base = match &args.exp {
-        Some(s) => match s.parse::<ExperimentSpec>() {
-            Ok(spec) => spec,
-            Err(e) => {
-                eprintln!("load: {e}");
-                return 2;
-            }
-        },
-        // Default base: one cheap point per request, so a bare
-        // `samie-exp load` measures the server, not the simulator.
-        None => {
-            let rc = RunConfig {
-                instrs: if args.instrs_set {
-                    args.rc.instrs
-                } else {
-                    RunConfig::quick().instrs
-                },
-                warmup: if args.warmup_set {
-                    args.rc.warmup
-                } else {
-                    RunConfig::quick().warmup
-                },
-                seed: args.rc.seed,
-            };
-            ExperimentSpec::single(
-                DesignSpec::Conventional { entries: 64 },
-                "gzip",
-                rc.seed,
-                rc,
-            )
-        }
-    };
-    let opts = LoadOptions {
-        addr: args.addr.clone(),
-        clients: args.clients,
-        requests: args.requests,
-        mix: args.mix,
-        base,
-        shutdown: args.shutdown,
-    };
-    eprintln!(
-        "load: {} requests x {} clients, mix {} -> {}",
-        opts.requests, opts.clients, opts.mix, opts.addr
-    );
-    let report = match run_load(&opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("load failed: {e}");
-            return 1;
-        }
-    };
-    println!("{}", report.table().render());
-    println!(
-        "throughput: {:.1} req/s over {:.2} s",
-        report.throughput_rps(),
-        report.wall.as_secs_f64()
-    );
-    for name in ["submits", "deduped_submits", "completed", "rejected"] {
-        if let Some(v) = report.server_stat(name) {
-            println!("server {name}: {v}");
-        }
-    }
-    match report.write(&args.out) {
-        Ok(p) => eprintln!("  -> {}", p.display()),
-        Err(e) => {
-            eprintln!("cannot write load report: {e}");
-            return 1;
-        }
     }
     0
 }
@@ -1359,7 +1084,13 @@ fn emit(t: &Table, out: &std::path::Path, chart: bool) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("samie-exp: {e}");
+            std::process::exit(2);
+        }
+    };
     let exp = match &args.command {
         Command::Designs => {
             println!("registered design kinds (comma-separate specs for --designs):");
@@ -1375,8 +1106,6 @@ fn main() {
         Command::Record => std::process::exit(run_record_command(&args)),
         Command::Report => std::process::exit(run_report_command(&args)),
         Command::Store => std::process::exit(run_store_command(&args)),
-        Command::Serve => std::process::exit(run_serve_command(&args)),
-        Command::Load => std::process::exit(run_load_command(&args)),
         Command::Analyze => std::process::exit(run_analyze_command()),
         Command::Rv => std::process::exit(run_rv_command(&args)),
         Command::Paper(id) => id.clone(),

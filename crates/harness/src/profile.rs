@@ -21,7 +21,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use ooo_sim::{ProfilingProbe, SimStats, Simulator, Stage, StageProfile};
-use samie_lsq::{FastPathLsq, LoadStoreQueue};
+use samie_lsq::LoadStoreQueue;
 use spec_traces::Workload;
 
 use crate::runner::clock_nanos;
@@ -62,18 +62,7 @@ pub fn run_profile(grid: &SweepGrid) -> ProfileReport {
         for workload in &grid.benchmarks {
             for &seed in &grid.seeds {
                 let rc_seeded = crate::runner::RunConfig { seed, ..grid.rc };
-                // Same monomorphic dispatch as a session run, so the
-                // attribution measures the loop `bench` actually runs.
-                let (profile, stats) = match design.build_fast_path() {
-                    Some(FastPathLsq::Conventional(lsq)) => {
-                        profile_one(grid, lsq, workload, &rc_seeded)
-                    }
-                    Some(FastPathLsq::Filtered(lsq)) => {
-                        profile_one(grid, lsq, workload, &rc_seeded)
-                    }
-                    Some(FastPathLsq::Samie(lsq)) => profile_one(grid, lsq, workload, &rc_seeded),
-                    None => profile_one(grid, design.build(), workload, &rc_seeded),
-                };
+                let (profile, stats) = profile_one(grid, design.build(), workload, &rc_seeded);
                 points.push(ProfilePoint {
                     design: design.id(),
                     workload: workload.name().to_string(),
@@ -91,9 +80,9 @@ pub fn run_profile(grid: &SweepGrid) -> ProfileReport {
     }
 }
 
-fn profile_one<L: LoadStoreQueue + 'static>(
+fn profile_one(
     grid: &SweepGrid,
-    lsq: L,
+    lsq: Box<dyn LoadStoreQueue>,
     workload: &Workload,
     rc: &crate::runner::RunConfig,
 ) -> (StageProfile, SimStats) {

@@ -62,7 +62,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use ooo_sim::{SimConfig, SimStats, Simulator};
-use samie_lsq::{DesignHandle, DesignSpec, FastPathLsq, LoadStoreQueue};
+use samie_lsq::{DesignHandle, DesignSpec, LoadStoreQueue};
 use spec_traces::{AdversarialSpec, Workload, WorkloadSpec};
 use trace_isa::strc::TraceWriter;
 
@@ -413,17 +413,7 @@ impl<'s> SimSession<'s> {
                 total,
                 id: &id,
             });
-            // The paper's headline families run fully monomorphized (the
-            // hot loop never crosses a vtable); everything else takes the
-            // flexible `Box<dyn LoadStoreQueue>` edge. Both paths perform
-            // the exact same warm_up/run sequence — stats are
-            // bit-identical by the fast-path contract.
-            let (stats, ops) = match design.build_fast_path() {
-                Some(FastPathLsq::Conventional(lsq)) => self.run_design(index, &id, lsq),
-                Some(FastPathLsq::Filtered(lsq)) => self.run_design(index, &id, lsq),
-                Some(FastPathLsq::Samie(lsq)) => self.run_design(index, &id, lsq),
-                None => self.run_design(index, &id, design.build()),
-            };
+            let (stats, ops) = self.run_design(index, &id, design.build());
             ops_consumed = ops_consumed.max(ops);
             runs.push(DesignRun { id, stats });
         }
@@ -476,14 +466,13 @@ impl<'s> SimSession<'s> {
         }
     }
 
-    /// Simulate one design — generic over the LSQ type so the three
-    /// paper families get their own monomorphized copies of the hot
-    /// loop. Returns the final stats and the trace prefix pulled.
-    fn run_design<L: LoadStoreQueue + 'static>(
+    /// Simulate one design. Returns the final stats and the trace
+    /// prefix pulled.
+    fn run_design(
         &mut self,
         index: usize,
         id: &str,
-        lsq: L,
+        lsq: Box<dyn LoadStoreQueue>,
     ) -> (SimStats, u64) {
         let mut sim = Simulator::new(self.cfg, lsq, self.workload.build_trace(self.seed));
         sim.warm_up(self.warmup);

@@ -25,7 +25,9 @@
 //! grids + seeds produce byte-identical JSON (the regression-tracking
 //! invariant CI relies on).
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::str::FromStr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -35,8 +37,7 @@ use samie_lsq::{DesignHandle, DesignSpec};
 use spec_traces::{all_workloads, find_workload, Workload};
 
 use crate::experiment::ExperimentSpec;
-use crate::runner::{parallel_map_with, run_one_configured, RunConfig};
-use crate::shard::ShardSpec;
+use crate::runner::{parallel_map_with, run_one_configured, PointCache, RunConfig};
 use crate::table::{fmt, Table};
 
 /// A declarative sweep grid: the cross product of designs × workloads ×
@@ -171,7 +172,7 @@ impl SweepPoint {
 /// (IPC, energy) is a pure function of the integer counters, so a row
 /// rebuilt from a cached [`SimStats`](ooo_sim::SimStats) is byte-identical
 /// to the freshly-simulated one.
-pub(crate) fn point_from_stats(
+fn point_from_stats(
     design: &DesignHandle,
     bench: &Workload,
     seed: u64,
@@ -193,98 +194,113 @@ pub(crate) fn point_from_stats(
     }
 }
 
-/// Simulate one grid point (warm-up + measured interval) and time it.
-pub fn run_point(design: &DesignHandle, bench: &Workload, seed: u64, rc: &RunConfig) -> SweepPoint {
-    run_point_configured(design, bench, seed, rc, SimConfig::paper())
+/// Which slice of a sweep grid one worker process owns: shard `i` of
+/// `n`, written `i/n` with `1 <= i <= n`. A point at position `p` in the
+/// grid's deterministic [`SweepGrid::expand`] order belongs to shard `i`
+/// iff `p % n == i - 1`, so shards are disjoint, cover the grid exactly
+/// and stay balanced across designs and workloads.
+///
+/// Sharded workers share one experiment store; a final unsharded
+/// [`run_sweep`] over the same store serves every point a worker
+/// finished and reports rows byte-identical to a serial sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardSpec {
+    /// 1-based worker index.
+    pub index: usize,
+    /// Total number of shards.
+    pub count: usize,
 }
 
-/// [`run_point`] under an explicit core configuration (the grid's
-/// [`SweepGrid::cfg`]).
-pub fn run_point_configured(
-    design: &DesignHandle,
-    bench: &Workload,
-    seed: u64,
-    rc: &RunConfig,
-    cfg: SimConfig,
-) -> SweepPoint {
-    let rc = RunConfig { seed, ..*rc };
-    let t0 = Instant::now();
-    let stats = run_one_configured(bench, design, &rc, cfg);
-    let wall = t0.elapsed();
-    point_from_stats(design, bench, seed, &rc, &stats, wall)
+impl ShardSpec {
+    /// Whether this shard owns the grid point at expansion position
+    /// `point_index` (0-based).
+    pub fn owns(&self, point_index: usize) -> bool {
+        point_index % self.count == self.index - 1
+    }
 }
 
-/// Execute a grid on `jobs` worker threads (0 = all available cores).
-/// Points are distributed through the work-stealing queue and collected
-/// in deterministic [`SweepGrid::expand`] order.
-pub fn run_sweep(grid: &SweepGrid, jobs: usize) -> SweepReport {
-    run_sweep_cached(grid, jobs, None)
+impl fmt::Display for ShardSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}/{}", self.index, self.count)
+    }
 }
 
-/// [`run_sweep`] against an experiment-store cache: every point is looked
-/// up first and only misses are simulated (and recorded the moment they
-/// finish, so an interrupted sweep resumes where it stopped). The report
-/// rows are byte-identical to an uncached sweep — cache hits rebuild the
-/// row from the stored integer counters; only the wall-clock columns
-/// differ (a hit reports the *original* compute time, which is what the
-/// warm-speedup figure sums).
-pub fn run_sweep_cached(
-    grid: &SweepGrid,
-    jobs: usize,
-    cache: Option<&crate::runner::PointCache>,
-) -> SweepReport {
-    run_sweep_sharded(grid, jobs, cache, None)
+impl FromStr for ShardSpec {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let err = || format!("bad shard `{s}`: expected i/n with 1 <= i <= n, e.g. 2/3");
+        let (i, n) = s.split_once('/').ok_or_else(err)?;
+        let index: usize = i.trim().parse().map_err(|_| err())?;
+        let count: usize = n.trim().parse().map_err(|_| err())?;
+        if index == 0 || count == 0 || index > count {
+            return Err(err());
+        }
+        Ok(ShardSpec { index, count })
+    }
 }
 
-/// [`run_sweep_cached`] restricted to the points a [`ShardSpec`] owns
-/// (`None` = the whole grid) — the worker half of the multi-process
-/// sweep fabric (see the [`shard`](crate::shard) module). The report
-/// covers only the owned points, in grid order; merging happens by
-/// re-running the full grid against the shared store.
-pub fn run_sweep_sharded(
-    grid: &SweepGrid,
-    jobs: usize,
-    cache: Option<&crate::runner::PointCache>,
-    shard: Option<ShardSpec>,
-) -> SweepReport {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let points: Vec<_> = match shard {
-        None => grid.expand(),
-        Some(s) => grid
-            .expand()
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| s.owns(*i))
-            .map(|(_, p)| p)
-            .collect(),
-    };
+/// How [`run_sweep`] executes a grid.
+#[derive(Clone, Copy, Default)]
+pub struct SweepOptions<'a> {
+    /// Worker threads (0 = all available cores).
+    pub jobs: usize,
+    /// Experiment-store cache to consult and fill (`None` = simulate
+    /// every point).
+    pub cache: Option<&'a PointCache>,
+    /// Run only the points this shard owns (`None` = the whole grid).
+    pub shard: Option<ShardSpec>,
+}
+
+/// Execute a grid. Points are distributed through the work-stealing
+/// queue on `opts.jobs` threads and collected in deterministic
+/// [`SweepGrid::expand`] order.
+///
+/// With a cache, every point is looked up first and only misses are
+/// simulated (and recorded the moment they finish, so an interrupted
+/// sweep resumes where it stopped). The report rows are byte-identical
+/// to an uncached sweep — cache hits rebuild the row from the stored
+/// integer counters; only the wall-clock columns differ (a hit reports
+/// the *original* compute time, which is what the warm-speedup figure
+/// sums).
+///
+/// With a shard, the report covers only the owned points, in grid
+/// order.
+pub fn run_sweep(grid: &SweepGrid, opts: &SweepOptions<'_>) -> SweepReport {
+    let points: Vec<_> = grid
+        .expand()
+        .into_iter()
+        .enumerate()
+        .filter(|(i, _)| opts.shard.is_none_or(|s| s.owns(*i)))
+        .map(|(_, p)| p)
+        .collect();
     let (hits, saved) = (AtomicU64::new(0), AtomicU64::new(0));
     let cfg_canonical = grid.cfg.canonical();
     let t0 = Instant::now();
-    let results = parallel_map_with(jobs, &points, |(design, bench, seed)| match cache {
-        None => run_point_configured(design, bench, *seed, &grid.rc, grid.cfg),
-        Some(cache) => {
-            let rc = RunConfig {
-                seed: *seed,
-                ..grid.rc
-            };
-            let key = cache.key_with_config(&design.id(), bench, &rc, &cfg_canonical);
-            let (point, hit) = cache.get_or_compute(&key, &[], || {
-                (run_one_configured(bench, design, &rc, grid.cfg), Vec::new())
-            });
-            if hit {
-                hits.fetch_add(1, Ordering::Relaxed);
-                saved.fetch_add(point.wall_nanos, Ordering::Relaxed);
+    let results = parallel_map_with(opts.jobs, &points, |(design, bench, seed)| {
+        let rc = RunConfig {
+            seed: *seed,
+            ..grid.rc
+        };
+        let (stats, wall) = match opts.cache {
+            None => {
+                let t0 = Instant::now();
+                let stats = run_one_configured(bench, design, &rc, grid.cfg);
+                (stats, t0.elapsed())
             }
-            point_from_stats(
-                design,
-                bench,
-                *seed,
-                &rc,
-                &point.stats,
-                Duration::from_nanos(point.wall_nanos),
-            )
-        }
+            Some(cache) => {
+                let key = cache.key_with_config(&design.id(), bench, &rc, &cfg_canonical);
+                let (point, hit) = cache.get_or_compute(&key, &[], || {
+                    (run_one_configured(bench, design, &rc, grid.cfg), Vec::new())
+                });
+                if hit {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                    saved.fetch_add(point.wall_nanos, Ordering::Relaxed);
+                }
+                (point.stats, Duration::from_nanos(point.wall_nanos))
+            }
+        };
+        point_from_stats(design, bench, *seed, &rc, &stats, wall)
     });
     let hits = hits.into_inner() as usize;
     SweepReport {
@@ -659,7 +675,13 @@ mod tests {
             rc,
             cfg: SimConfig::paper(),
         };
-        let report = run_sweep(&grid, 1);
+        let report = run_sweep(
+            &grid,
+            &SweepOptions {
+                jobs: 1,
+                ..Default::default()
+            },
+        );
         assert_eq!(report.points.len(), 3);
         for p in &report.points {
             assert!(p.ipc > 0.1, "{}: ipc {}", p.design, p.ipc);
@@ -702,7 +724,13 @@ mod tests {
             rc,
             cfg: SimConfig::paper(),
         };
-        let report = run_sweep(&grid, 2);
+        let report = run_sweep(
+            &grid,
+            &SweepOptions {
+                jobs: 2,
+                ..Default::default()
+            },
+        );
         assert_eq!(report.points[0].design, "tiny");
         assert!(
             report.points[0].ipc <= report.points[1].ipc + 1e-9,
@@ -712,7 +740,6 @@ mod tests {
 
     #[test]
     fn cached_sweep_matches_cold_sweep_byte_for_byte() {
-        use crate::runner::PointCache;
         let dir = std::env::temp_dir().join("samie-sweep-cache-test");
         let _ = std::fs::remove_dir_all(&dir);
         let cache = PointCache::open(&dir).unwrap();
@@ -728,9 +755,29 @@ mod tests {
             rc,
             cfg: SimConfig::paper(),
         };
-        let plain = run_sweep(&grid, 1);
-        let cold = run_sweep_cached(&grid, 1, Some(&cache));
-        let warm = run_sweep_cached(&grid, 2, Some(&cache));
+        let plain = run_sweep(
+            &grid,
+            &SweepOptions {
+                jobs: 1,
+                ..Default::default()
+            },
+        );
+        let cold = run_sweep(
+            &grid,
+            &SweepOptions {
+                jobs: 1,
+                cache: Some(&cache),
+                shard: None,
+            },
+        );
+        let warm = run_sweep(
+            &grid,
+            &SweepOptions {
+                jobs: 2,
+                cache: Some(&cache),
+                shard: None,
+            },
+        );
         assert_eq!((cold.hits, cold.misses), (0, 6));
         assert_eq!((warm.hits, warm.misses), (6, 0));
         assert!(warm.saved > Duration::ZERO);
@@ -836,7 +883,13 @@ mod tests {
             rc,
             cfg: SimConfig::paper(),
         };
-        let report = run_sweep(&grid, 1);
+        let report = run_sweep(
+            &grid,
+            &SweepOptions {
+                jobs: 1,
+                ..Default::default()
+            },
+        );
         let fast = format!(
             "{{\"total\": {{\"total_sim_ips\": {:.0}}}}}",
             report.total_sim_ips() * 10.0
@@ -857,5 +910,41 @@ mod tests {
             check_regression(&report, "{}", 2.0).is_err(),
             "missing field"
         );
+    }
+
+    #[test]
+    fn shard_spec_parses_and_displays() {
+        let s: ShardSpec = "2/3".parse().unwrap();
+        assert_eq!((s.index, s.count), (2, 3));
+        assert_eq!(s.to_string(), "2/3");
+        let one: ShardSpec = "1/1".parse().unwrap();
+        assert!(one.owns(0) && one.owns(17));
+        for bad in ["", "3", "0/3", "4/3", "a/b", "1/0", "-1/2"] {
+            let err = bad.parse::<ShardSpec>().unwrap_err();
+            assert!(err.contains("expected i/n"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn shards_partition_the_grid_exactly_and_evenly() {
+        let n = 5;
+        let points = 123;
+        let shards: Vec<ShardSpec> = (1..=n).map(|index| ShardSpec { index, count: n }).collect();
+        let mut owners = vec![0usize; points];
+        let mut sizes = vec![0usize; n];
+        for (si, s) in shards.iter().enumerate() {
+            for (p, owner) in owners.iter_mut().enumerate() {
+                if s.owns(p) {
+                    *owner += 1;
+                    sizes[si] += 1;
+                }
+            }
+        }
+        assert!(
+            owners.iter().all(|&o| o == 1),
+            "every point owned exactly once"
+        );
+        let (min, max) = (*sizes.iter().min().unwrap(), *sizes.iter().max().unwrap());
+        assert!(max - min <= 1, "round-robin balance: {sizes:?}");
     }
 }

@@ -1,15 +1,12 @@
-//! Property tests for the [`ExperimentSpec`] / [`ExperimentRequest`]
-//! wire format — the grammar shared by `--exp`, the shard fabric and
-//! the `samie-exp serve` protocol. The canonical string form must
+//! Property tests for the [`ExperimentSpec`] string form — the grammar
+//! of `sweep --exp` and `bench --exp`. The canonical string form must
 //! round-trip through parse for every generated spec, and malformed
 //! specs must fail with messages that name the field and quote the
 //! offending token.
 
 use proptest::prelude::*;
 
-use exp_harness::experiment::{
-    BenchSel, ConfigOverrides, ExperimentRequest, ExperimentSpec, Priority,
-};
+use exp_harness::experiment::{BenchSel, ConfigOverrides, ExperimentSpec};
 use samie_lsq::{DesignSpec, SamieConfig};
 use spec_traces::all_benchmarks;
 
@@ -82,17 +79,6 @@ fn spec_strategy() -> impl Strategy<Value = ExperimentSpec> {
         )
 }
 
-fn request_strategy() -> impl Strategy<Value = ExperimentRequest> {
-    (spec_strategy(), 0u32..3).prop_map(|(spec, p)| ExperimentRequest {
-        priority: match p {
-            0 => Priority::High,
-            1 => Priority::Normal,
-            _ => Priority::Low,
-        },
-        spec,
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -105,21 +91,6 @@ proptest! {
         prop_assert_eq!(&parsed, &spec, "parse(display(spec)) == spec");
         // And the string form itself is a fixed point.
         prop_assert_eq!(parsed.to_string(), text);
-    }
-
-    #[test]
-    fn request_roundtrip_with_priority(req in request_strategy()) {
-        let text = req.to_string();
-        let parsed: ExperimentRequest = text.parse().unwrap_or_else(|e| {
-            panic!("canonical request `{text}` must parse: {e}")
-        });
-        prop_assert_eq!(&parsed, &req);
-        prop_assert_eq!(parsed.to_string(), text);
-        // Normal is the default class and is omitted from canonical form.
-        prop_assert_eq!(
-            text.contains("prio="),
-            req.priority != Priority::Normal
-        );
     }
 
     #[test]
@@ -192,7 +163,7 @@ fn malformed_specs_name_the_field() {
         ),
         (
             "prio=high design=conv:64 bench=gzip",
-            "prio= belongs to a request",
+            "unknown field `prio`",
         ),
     ] {
         let err = bad.parse::<ExperimentSpec>().expect_err(bad).to_string();
@@ -202,32 +173,15 @@ fn malformed_specs_name_the_field() {
         );
         assert!(
             !err.contains('\n'),
-            "`{bad}`: errors must fit a 400 status line"
-        );
-    }
-    // Request-only rejections.
-    for (bad, needle) in [
-        (
-            "prio=urgent design=conv:64 bench=gzip",
-            "expected high/normal/low",
-        ),
-        (
-            "prio=high prio=low design=conv:64 bench=gzip",
-            "duplicate field `prio`",
-        ),
-    ] {
-        let err = bad.parse::<ExperimentRequest>().expect_err(bad).to_string();
-        assert!(
-            err.contains(needle),
-            "`{bad}` should fail mentioning `{needle}`, got `{err}`"
+            "`{bad}`: errors must fit one diagnostic line"
         );
     }
 }
 
 #[test]
 fn canonical_forms_are_stable() {
-    // The wire format is a compatibility surface (the serve protocol,
-    // journals, SWEEP_equivalent.txt, CI): pin the canonical renderings.
+    // The string form is a compatibility surface (`--exp` command lines
+    // in scripts and CI): pin the canonical renderings.
     for (input, canonical) in [
         (
             "design=conv:128 bench=gzip",
@@ -249,10 +203,4 @@ fn canonical_forms_are_stable() {
         let spec: ExperimentSpec = input.parse().unwrap();
         assert_eq!(spec.to_string(), canonical, "for input `{input}`");
     }
-    // And with a priority class on the request wrapper.
-    let req: ExperimentRequest = "prio=low design=conv:64 bench=gzip".parse().unwrap();
-    assert_eq!(
-        req.to_string(),
-        "prio=low design=conv:64 bench=gzip seed=42 instrs=1000000 warmup=200000"
-    );
 }

@@ -1,14 +1,12 @@
-//! The multi-process sweep fabric's contract, tested end to end with
-//! real worker **processes** (`CARGO_BIN_EXE_samie-exp`):
+//! The sharded-sweep contract, tested end to end with real worker
+//! **processes** (`CARGO_BIN_EXE_samie-exp`):
 //!
 //! * shards partition a grid and merge byte-identically with a serial
 //!   sweep;
 //! * overlapping writers — worker processes plus in-process threads
 //!   hammering the same keys of one store — leave zero corrupt entries;
 //! * a SIGKILLed worker loses nothing: the store stays clean and a
-//!   resumed sweep completes the exact grid bit-identically;
-//! * the coordinator CLI (`sweep --workers N`) survives its own chaos
-//!   hook and writes the same deterministic JSON/CSV a serial run does.
+//!   resumed sweep completes the exact grid bit-identically.
 //!
 //! Spawned workers run the *debug* binary, so grids here are tiny.
 
@@ -18,9 +16,7 @@ use std::time::{Duration, Instant};
 
 use exp_harness::runner::RunConfig;
 use exp_harness::sweep::SweepGrid;
-use exp_harness::{
-    run_sweep, run_sweep_cached, run_sweep_sharded, DesignRegistry, PointCache, ShardSpec,
-};
+use exp_harness::{run_sweep, DesignRegistry, PointCache, ShardSpec, SweepOptions};
 use ooo_sim::SimConfig;
 
 const EXE: &str = env!("CARGO_BIN_EXE_samie-exp");
@@ -96,14 +92,27 @@ fn shards_merge_byte_identically_with_a_serial_sweep() {
     let store = scratch("in-process");
     let cache = PointCache::open(&store).unwrap();
     let grid = small_grid(13);
-    let serial = run_sweep(&grid, 1);
+    let serial = run_sweep(
+        &grid,
+        &SweepOptions {
+            jobs: 1,
+            ..Default::default()
+        },
+    );
 
     // Three shards over four points: every shard report covers only the
     // points it owns, and together they cover the grid exactly.
     let mut owned = 0;
     for index in 1..=3 {
         let shard = ShardSpec { index, count: 3 };
-        let part = run_sweep_sharded(&grid, 2, Some(&cache), Some(shard));
+        let part = run_sweep(
+            &grid,
+            &SweepOptions {
+                jobs: 2,
+                cache: Some(&cache),
+                shard: Some(shard),
+            },
+        );
         let expected: Vec<usize> = (0..4).filter(|&p| shard.owns(p)).collect();
         assert_eq!(part.points.len(), expected.len(), "shard {shard}");
         owned += part.points.len();
@@ -112,7 +121,14 @@ fn shards_merge_byte_identically_with_a_serial_sweep() {
 
     // Reconcile: the full grid against the store is all hits, and its
     // deterministic JSON and CSV are byte-identical to the serial run's.
-    let merged = run_sweep_cached(&grid, 0, Some(&cache));
+    let merged = run_sweep(
+        &grid,
+        &SweepOptions {
+            jobs: 0,
+            cache: Some(&cache),
+            shard: None,
+        },
+    );
     assert_eq!((merged.hits, merged.misses), (4, 0));
     assert_eq!(
         merged.to_json_deterministic(),
@@ -144,7 +160,14 @@ fn overlapping_processes_and_threads_leave_zero_corrupt_entries() {
         })
         .collect();
     let cache = PointCache::open(&store).unwrap();
-    let local = run_sweep_cached(&grid, 4, Some(&cache));
+    let local = run_sweep(
+        &grid,
+        &SweepOptions {
+            jobs: 4,
+            cache: Some(&cache),
+            shard: None,
+        },
+    );
     for child in &mut children {
         assert!(child.wait().unwrap().success(), "worker exited non-zero");
     }
@@ -168,7 +191,14 @@ fn overlapping_processes_and_threads_leave_zero_corrupt_entries() {
     assert_eq!(temps, 0, "no leaked temp files");
 
     // And the racy store still serves a byte-identical warm sweep.
-    let warm = run_sweep_cached(&grid, 1, Some(&cache));
+    let warm = run_sweep(
+        &grid,
+        &SweepOptions {
+            jobs: 1,
+            cache: Some(&cache),
+            shard: None,
+        },
+    );
     assert_eq!((warm.hits, warm.misses), (4, 0));
     assert_eq!(warm.to_json_deterministic(), local.to_json_deterministic());
     std::fs::remove_dir_all(&store).unwrap();
@@ -230,10 +260,23 @@ fn sigkilled_worker_loses_nothing_and_a_resumed_sweep_completes_the_grid() {
 
     // A resumed sweep completes the exact grid — survivors are cache
     // hits, the rest simulate — bit-identical to a never-killed run.
-    let resumed = run_sweep_cached(&grid, 0, Some(&cache));
+    let resumed = run_sweep(
+        &grid,
+        &SweepOptions {
+            jobs: 0,
+            cache: Some(&cache),
+            shard: None,
+        },
+    );
     assert_eq!(resumed.hits + resumed.misses, 6);
     assert!(resumed.hits >= survivors, "survivors served from the store");
-    let serial = run_sweep(&grid, 0);
+    let serial = run_sweep(
+        &grid,
+        &SweepOptions {
+            jobs: 0,
+            ..Default::default()
+        },
+    );
     assert_eq!(
         resumed.to_json_deterministic(),
         serial.to_json_deterministic()
@@ -244,65 +287,4 @@ fn sigkilled_worker_loses_nothing_and_a_resumed_sweep_completes_the_grid() {
     );
     std::fs::remove_dir_all(&store).unwrap();
     let _ = std::fs::remove_dir_all(&out);
-}
-
-#[test]
-fn coordinator_cli_survives_chaos_and_matches_serial_bytes() {
-    let store = scratch("fabric");
-    let out = scratch("fabric-out");
-    let grid = small_grid(17);
-    let serial = run_sweep(&grid, 1);
-
-    // `--workers 2` spawns two sharded workers over one store;
-    // `--chaos-kill 1` SIGKILLs the first shortly after launch, and the
-    // coordinator must restart it and still merge a full report.
-    let status = Command::new(EXE)
-        .args([
-            "sweep",
-            "--designs",
-            "conv:32,samie",
-            "--bench",
-            "gzip,swim",
-            "--instrs",
-            "2000",
-            "--warmup",
-            "500",
-            "--seed",
-            "17",
-            "--jobs",
-            "1",
-            "--workers",
-            "2",
-            "--chaos-kill",
-            "1",
-            "--chaos-delay-ms",
-            "50",
-            "--store",
-            store.to_str().unwrap(),
-            "--out",
-            out.to_str().unwrap(),
-        ])
-        .stdout(std::process::Stdio::null())
-        .status()
-        .expect("run coordinator");
-    assert!(status.success(), "coordinator must exit 0 despite chaos");
-
-    // The merged deterministic artifacts are byte-identical to serial.
-    let det_json = std::fs::read_to_string(out.join("BENCH_sweep.det.json")).unwrap();
-    assert_eq!(det_json, serial.to_json_deterministic());
-    let det_csv = std::fs::read_to_string(out.join("BENCH_sweep.det.csv")).unwrap();
-    assert_eq!(det_csv, serial.table_deterministic().to_csv());
-
-    // Workers wrote their partial reports under shard-i-of-n/.
-    assert!(out.join("shard-1-of-2").join("BENCH_sweep.json").exists());
-    assert!(out.join("shard-2-of-2").join("BENCH_sweep.json").exists());
-
-    // The store now holds the whole grid; a second fabric run (no
-    // chaos) is all hits and byte-identical again.
-    let cache = PointCache::open(&store).unwrap();
-    let warm = run_sweep_cached(&grid, 0, Some(&cache));
-    assert_eq!((warm.hits, warm.misses), (4, 0));
-    assert_eq!(warm.to_json_deterministic(), serial.to_json_deterministic());
-    std::fs::remove_dir_all(&store).unwrap();
-    std::fs::remove_dir_all(&out).unwrap();
 }

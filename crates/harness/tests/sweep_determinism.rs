@@ -3,10 +3,10 @@
 //! wall-clock fields, which `to_json_deterministic` zeroes), regardless
 //! of worker count or scheduling order.
 
-use exp_harness::run_sweep;
 use exp_harness::runner::RunConfig;
 use exp_harness::sweep::{baseline_total_sim_ips, SweepGrid};
 use exp_harness::DesignRegistry;
+use exp_harness::{run_sweep, SweepOptions};
 use ooo_sim::SimConfig;
 
 fn grid(seed: u64) -> SweepGrid {
@@ -27,8 +27,20 @@ fn grid(seed: u64) -> SweepGrid {
 
 #[test]
 fn same_grid_and_seed_is_byte_identical() {
-    let a = run_sweep(&grid(11), 1);
-    let b = run_sweep(&grid(11), 1);
+    let a = run_sweep(
+        &grid(11),
+        &SweepOptions {
+            jobs: 1,
+            ..Default::default()
+        },
+    );
+    let b = run_sweep(
+        &grid(11),
+        &SweepOptions {
+            jobs: 1,
+            ..Default::default()
+        },
+    );
     assert_eq!(
         a.to_json_deterministic(),
         b.to_json_deterministic(),
@@ -42,8 +54,20 @@ fn same_grid_and_seed_is_byte_identical() {
 
 #[test]
 fn worker_count_does_not_change_results() {
-    let serial = run_sweep(&grid(11), 1);
-    let parallel = run_sweep(&grid(11), 4);
+    let serial = run_sweep(
+        &grid(11),
+        &SweepOptions {
+            jobs: 1,
+            ..Default::default()
+        },
+    );
+    let parallel = run_sweep(
+        &grid(11),
+        &SweepOptions {
+            jobs: 4,
+            ..Default::default()
+        },
+    );
     assert_eq!(
         serial.to_json_deterministic(),
         parallel.to_json_deterministic()
@@ -52,14 +76,32 @@ fn worker_count_does_not_change_results() {
 
 #[test]
 fn different_seed_changes_results() {
-    let a = run_sweep(&grid(11), 1);
-    let b = run_sweep(&grid(12), 1);
+    let a = run_sweep(
+        &grid(11),
+        &SweepOptions {
+            jobs: 1,
+            ..Default::default()
+        },
+    );
+    let b = run_sweep(
+        &grid(12),
+        &SweepOptions {
+            jobs: 1,
+            ..Default::default()
+        },
+    );
     assert_ne!(a.to_json_deterministic(), b.to_json_deterministic());
 }
 
 #[test]
 fn written_json_round_trips_through_the_baseline_parser() {
-    let report = run_sweep(&grid(5), 0);
+    let report = run_sweep(
+        &grid(5),
+        &SweepOptions {
+            jobs: 0,
+            ..Default::default()
+        },
+    );
     let dir = std::env::temp_dir().join("samie_sweep_determinism_test");
     let path = report.write(&dir).unwrap();
     assert_eq!(path.file_name().unwrap(), "BENCH_sweep.json");

@@ -92,7 +92,7 @@ pub struct GcReport {
 
 /// A snapshot of one store handle's write-path counters (see
 /// [`ExperimentStore::counters`]). The counts are per-handle, not
-/// per-directory: they tell a server (or test) what *this* process did —
+/// per-directory: they tell a caller (or test) what *this* process did —
 /// how often its writes published fresh entries versus collapsed into a
 /// concurrent winner's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -102,7 +102,7 @@ pub struct StoreCounters {
     pub published: u64,
     /// Writes that lost the write-once race to an intact concurrent
     /// entry and were verified-and-discarded — the store-level
-    /// deduplication the serving layer reports.
+    /// deduplication of concurrent writers.
     pub deduped: u64,
     /// Corrupt or mis-keyed entries healed in place by a fresh copy.
     pub healed: u64,
@@ -165,7 +165,7 @@ impl ExperimentStore {
     /// silently materialised empty), and every mutating call —
     /// [`put`](Self::put), [`put_replace`](Self::put_replace) — fails
     /// with `PermissionDenied`. The read-mostly handle for inspection
-    /// tools and serving-layer fast paths.
+    /// tools.
     pub fn open_read_only(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let root = dir.into();
         if !root.join("entries").is_dir() {
@@ -266,14 +266,6 @@ impl ExperimentStore {
     /// Whether a (possibly corrupt) entry exists for `key`.
     pub fn contains(&self, key: &PointKey) -> bool {
         self.entry_path(key).exists()
-    }
-
-    /// [`contains`](Self::contains) by entry file name
-    /// ([`PointKey::file_name`]) — for callers that pre-computed the
-    /// fingerprints of many keys (e.g. the serving layer's dedup
-    /// ledger).
-    pub fn contains_file(&self, file_name: &str) -> bool {
-        self.entries_dir().join(file_name).exists()
     }
 
     /// Store a point under `key`, **write-once**: the first fully-written
@@ -587,7 +579,7 @@ impl ExperimentStore {
     /// of an entry) omitted. Two stores hold equivalent results — no
     /// matter which processes filled them, in what order, or how often
     /// writers raced — exactly when their dumps are byte-identical;
-    /// CI diffs a served store against a direct sweep's this way. A
+    /// a sharded store can be diffed against a serial sweep's this way. A
     /// corrupt entry fails the dump rather than vanishing from it.
     pub fn dump_deterministic(&self) -> Result<String, StoreError> {
         let mut entries = Vec::new();

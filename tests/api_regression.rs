@@ -9,7 +9,7 @@
 
 use exp_harness::runner::{run_one, run_paired, RunConfig};
 use exp_harness::session::SimSession;
-use exp_harness::sweep::{designs_from_specs, run_sweep, SweepGrid};
+use exp_harness::sweep::{designs_from_specs, run_sweep, SweepGrid, SweepOptions};
 use ooo_sim::{SimConfig, SimStats, Simulator};
 use samie_lsq::{ConventionalLsq, DesignSpec, FilteredLsq, LoadStoreQueue, SamieLsq, UnboundedLsq};
 use spec_traces::{by_name, SpecTrace};
@@ -91,7 +91,13 @@ fn sweep_points_are_bit_identical_to_manual_runs() {
         rc: RC,
         cfg: SimConfig::paper(),
     };
-    let report = run_sweep(&grid, 2);
+    let report = run_sweep(
+        &grid,
+        &SweepOptions {
+            jobs: 2,
+            ..Default::default()
+        },
+    );
     assert_eq!(report.points.len(), 4);
     for p in &report.points {
         let stats = match p.design.as_str() {

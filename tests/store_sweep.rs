@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use exp_harness::runner::{PointCache, RunConfig};
-use exp_harness::sweep::{run_sweep, run_sweep_cached, SweepGrid};
+use exp_harness::sweep::{run_sweep, SweepGrid, SweepOptions};
 use exp_harness::{designs_from_specs, DesignSpec};
 use exp_store::StoreError;
 use ooo_sim::SimConfig;
@@ -44,15 +44,35 @@ fn interrupted_sweep_resumes_from_partial_store() {
     // process died — modelled as a sweep over a benchmark subset (the
     // store records each point the moment it finishes, so a real
     // interruption leaves exactly such a prefix of whole entries).
-    let partial = run_sweep_cached(&grid("gzip", rc()), 1, Some(&cache));
+    let partial = run_sweep(
+        &grid("gzip", rc()),
+        &SweepOptions {
+            jobs: 1,
+            cache: Some(&cache),
+            shard: None,
+        },
+    );
     assert_eq!(partial.misses, 3);
 
     // Resuming the full grid recomputes only the missing points...
-    let resumed = run_sweep_cached(&grid("gzip,swim,ammp", rc()), 1, Some(&cache));
+    let resumed = run_sweep(
+        &grid("gzip,swim,ammp", rc()),
+        &SweepOptions {
+            jobs: 1,
+            cache: Some(&cache),
+            shard: None,
+        },
+    );
     assert_eq!((resumed.hits, resumed.misses), (3, 6));
 
     // ...and the result is byte-identical to a never-interrupted run.
-    let cold = run_sweep(&grid("gzip,swim,ammp", rc()), 1);
+    let cold = run_sweep(
+        &grid("gzip,swim,ammp", rc()),
+        &SweepOptions {
+            jobs: 1,
+            ..Default::default()
+        },
+    );
     assert_eq!(
         resumed.to_json_deterministic(),
         cold.to_json_deterministic(),
@@ -60,7 +80,14 @@ fn interrupted_sweep_resumes_from_partial_store() {
     );
 
     // A third pass is pure hits with real time saved.
-    let warm = run_sweep_cached(&grid("gzip,swim,ammp", rc()), 1, Some(&cache));
+    let warm = run_sweep(
+        &grid("gzip,swim,ammp", rc()),
+        &SweepOptions {
+            jobs: 1,
+            cache: Some(&cache),
+            shard: None,
+        },
+    );
     assert_eq!((warm.hits, warm.misses), (9, 0));
     assert!(warm.saved > Duration::ZERO);
     assert_eq!(warm.to_json_deterministic(), cold.to_json_deterministic());
@@ -72,7 +99,14 @@ fn corrupt_entry_is_rejected_loudly_and_recomputed() {
     let dir = tmp_dir("corrupt");
     let cache = PointCache::open(&dir).unwrap();
     let g = grid("gzip", rc());
-    let cold = run_sweep_cached(&g, 1, Some(&cache));
+    let cold = run_sweep(
+        &g,
+        &SweepOptions {
+            jobs: 1,
+            cache: Some(&cache),
+            shard: None,
+        },
+    );
 
     // Vandalise one entry on disk.
     let entries: Vec<_> = std::fs::read_dir(dir.join("entries"))
@@ -102,7 +136,14 @@ fn corrupt_entry_is_rejected_loudly_and_recomputed() {
     assert!(corrupt_seen, "a vandalised entry must surface as Corrupt");
 
     // ...and the sweep recovers by recomputing it, bit-identically.
-    let healed = run_sweep_cached(&g, 1, Some(&cache));
+    let healed = run_sweep(
+        &g,
+        &SweepOptions {
+            jobs: 1,
+            cache: Some(&cache),
+            shard: None,
+        },
+    );
     assert_eq!((healed.hits, healed.misses), (2, 1));
     assert!(cache.rejected() >= 1, "rejection was counted");
     assert_eq!(healed.to_json_deterministic(), cold.to_json_deterministic());
@@ -114,7 +155,14 @@ fn gc_then_resweep_recomputes_everything() {
     let dir = tmp_dir("gc");
     let cache = PointCache::open(&dir).unwrap();
     let g = grid("gzip", rc());
-    run_sweep_cached(&g, 1, Some(&cache));
+    run_sweep(
+        &g,
+        &SweepOptions {
+            jobs: 1,
+            cache: Some(&cache),
+            shard: None,
+        },
+    );
     assert_eq!(cache.store().len().unwrap(), 3);
 
     // GC under a *different* version wipes the (now-stale) entries.
@@ -123,7 +171,14 @@ fn gc_then_resweep_recomputes_everything() {
     assert_eq!(report.removed_stale, 3);
     assert!(cache.store().is_empty().unwrap());
 
-    let re = run_sweep_cached(&g, 1, Some(&cache));
+    let re = run_sweep(
+        &g,
+        &SweepOptions {
+            jobs: 1,
+            cache: Some(&cache),
+            shard: None,
+        },
+    );
     assert_eq!((re.hits, re.misses), (0, 3));
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -5,7 +5,7 @@
 
 use exp_harness::runner::RunConfig;
 use exp_harness::session::SimSession;
-use exp_harness::sweep::{designs_from_specs, run_sweep, SweepGrid};
+use exp_harness::sweep::{designs_from_specs, run_sweep, SweepGrid, SweepOptions};
 use ooo_sim::SimConfig;
 use samie_lsq::DesignSpec;
 use spec_traces::{find_workload, Workload};
@@ -165,7 +165,13 @@ fn replay_traces_sweep_like_benchmarks() {
         rc: RC,
         cfg: SimConfig::paper(),
     };
-    let report = run_sweep(&grid, 1);
+    let report = run_sweep(
+        &grid,
+        &SweepOptions {
+            jobs: 1,
+            ..Default::default()
+        },
+    );
     assert_eq!(report.points.len(), 1);
     assert_eq!(report.points[0].bench, "gcc", "replay keeps its name");
 
