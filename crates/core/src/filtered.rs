@@ -15,7 +15,7 @@
 //! does not shrink the CAM itself: the worst-case latency and the
 //! structure's complexity remain those of the 128-entry baseline. The
 //! [`FilteredLsq`] exists to let the repository quantify that trade-off
-//! (see `examples/design_space.rs` and the ablation benches).
+//! (see `examples/design_space.rs`).
 
 use crate::activity::LsqActivity;
 use crate::conventional::ConventionalLsq;

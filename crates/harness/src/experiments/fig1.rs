@@ -7,9 +7,10 @@
 //! trace under an unbounded LSQ. The paper's headline: 64×2 loses ~28 %.
 
 use samie_lsq::{ArbConfig, DesignSpec};
-use spec_traces::{all_benchmarks, Workload, WorkloadSpec};
+use spec_traces::{Workload, WorkloadSpec};
 
-use crate::runner::{parallel_map, RunConfig, Runner};
+use crate::runner::{PointCache, RunConfig};
+use crate::sweep::{run_sweep, SweepGrid, SweepOptions, SweepPoint};
 use crate::table::{fmt, Table};
 
 /// The banking sweep of Figure 1 (banks, addresses per bank).
@@ -36,29 +37,33 @@ pub struct Fig1Point {
     pub half: f64,
 }
 
-/// Run the Figure 1 sweep over the full suite, always simulating.
-pub fn run(rc: &RunConfig) -> Vec<Fig1Point> {
-    run_with(rc, &Runner::direct(), all_benchmarks())
-}
-
-/// Run the Figure 1 sweep through a [`Runner`] (store-cached when the
-/// runner is) over an explicit benchmark suite. All
-/// `(design, benchmark)` points are flattened into one parallel map, so
-/// cache misses fill every core instead of serialising per configuration.
-pub fn run_with(rc: &RunConfig, runner: &Runner<'_>, suite: &[WorkloadSpec]) -> Vec<Fig1Point> {
-    // One design list: the unbounded reference, then normal/half ARB per
-    // banking configuration.
+/// Run the Figure 1 sweep over `suite` as one [`run_sweep`] grid (through
+/// `cache` when given): the unbounded reference, then normal/half ARB per
+/// banking configuration, every point on every core.
+pub fn run_with(
+    rc: &RunConfig,
+    cache: Option<&PointCache>,
+    suite: &[WorkloadSpec],
+) -> Vec<Fig1Point> {
     let mut designs = vec![DesignSpec::Unbounded];
     for &(banks, rows) in &CONFIGS {
         let cfg = ArbConfig::fig1(banks, rows);
         designs.push(DesignSpec::Arb(cfg));
         designs.push(DesignSpec::Arb(cfg.half_inflight()));
     }
-    let jobs: Vec<(DesignSpec, Workload)> = designs
-        .iter()
-        .flat_map(|&d| suite.iter().map(move |s| (d, Workload::from(*s))))
-        .collect();
-    let ipcs: Vec<f64> = parallel_map(&jobs, |(d, w)| runner.stats(d, w, rc).ipc());
+    let grid = SweepGrid::paper(
+        designs,
+        suite.iter().map(|s| Workload::from(*s)).collect(),
+        *rc,
+    );
+    let report = run_sweep(
+        &grid,
+        &SweepOptions {
+            cache,
+            ..Default::default()
+        },
+    );
+    let ipcs: Vec<f64> = report.points.iter().map(SweepPoint::ipc).collect();
 
     let n = suite.len();
     let per_design = |i: usize| &ipcs[i * n..(i + 1) * n];

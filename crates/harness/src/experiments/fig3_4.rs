@@ -9,10 +9,11 @@
 //! SharedLSQ demand stays within N entries during 99 % of cycles, for
 //! N = 0, 4, 8, … 60 — the curve that justifies the 8-entry SharedLSQ.
 
+use ooo_sim::SimConfig;
 use samie_lsq::{DesignSpec, LoadStoreQueue, SamieConfig, SamieLsq};
-use spec_traces::{all_benchmarks, Workload, WorkloadSpec};
+use spec_traces::{Workload, WorkloadSpec};
 
-use crate::runner::{parallel_map, RunConfig, Runner};
+use crate::runner::{parallel_map_with, run_point, PointCache, RunConfig};
 use crate::table::{fmt, Table};
 
 /// The DistribLSQ geometries of Figure 3.
@@ -42,7 +43,7 @@ fn run_sizing(
     banks: usize,
     epb: usize,
     rc: &RunConfig,
-    runner: &Runner<'_>,
+    cache: Option<&PointCache>,
 ) -> SizingRun {
     let design = DesignSpec::Samie(SamieConfig::sizing_study(banks, epb));
     // The p99 statistic lives in SAMIE's occupancy histogram, not in
@@ -57,9 +58,17 @@ fn run_sizing(
             samie.shared_entries_for_quantile(0.99) as u64,
         )]
     };
-    let (stats, extras) =
-        runner.stats_with_extras(&design, &Workload::from(*spec), rc, &[P99_EXTRA], &probe);
-    let p99_shared = extras
+    let (point, _) = run_point(
+        cache,
+        design,
+        &Workload::from(*spec),
+        rc,
+        SimConfig::paper(),
+        &[P99_EXTRA],
+        probe,
+    );
+    let p99_shared = point
+        .extras
         .iter()
         .find(|(n, _)| n == P99_EXTRA)
         .map(|&(_, v)| v as usize)
@@ -68,27 +77,26 @@ fn run_sizing(
         name: spec.name,
         banks,
         entries_per_bank: epb,
-        mean_shared: stats.lsq.occupancy.mean_shared_entries(),
+        mean_shared: point.stats.lsq.occupancy.mean_shared_entries(),
         p99_shared,
     }
 }
 
-/// Run the full sizing study: for each geometry, one run per benchmark.
-pub fn run(rc: &RunConfig) -> Vec<SizingRun> {
-    run_with(rc, &Runner::direct(), all_benchmarks())
-}
-
-/// [`run`] through a [`Runner`] (store-cached when the runner is) over an
-/// explicit suite.
-pub fn run_with(rc: &RunConfig, runner: &Runner<'_>, suite: &[WorkloadSpec]) -> Vec<SizingRun> {
+/// Run the sizing study over `suite` (through `cache` when given): for
+/// each geometry, one run per benchmark, every point on every core.
+pub fn run_with(
+    rc: &RunConfig,
+    cache: Option<&PointCache>,
+    suite: &[WorkloadSpec],
+) -> Vec<SizingRun> {
     let mut jobs: Vec<(&WorkloadSpec, usize, usize)> = Vec::new();
     for &(banks, epb) in &CONFIGS {
         for spec in suite {
             jobs.push((spec, banks, epb));
         }
     }
-    parallel_map(&jobs, |&(spec, banks, epb)| {
-        run_sizing(spec, banks, epb, rc, runner)
+    parallel_map_with(0, &jobs, |&(spec, banks, epb)| {
+        run_sizing(spec, banks, epb, rc, cache)
     })
 }
 
@@ -120,12 +128,8 @@ pub fn fig3_table(runs: &[SizingRun]) -> Table {
         t.push_row(row);
     }
     let n = names.len() as f64;
-    t.push_row(vec![
-        "SPEC".into(),
-        fmt(sums[0] / n, 2),
-        fmt(sums[1] / n, 2),
-        fmt(sums[2] / n, 2),
-    ]);
+    let spec = sums.iter().map(|s| fmt(s / n, 2));
+    t.push_row(std::iter::once("SPEC".into()).chain(spec).collect());
     t
 }
 

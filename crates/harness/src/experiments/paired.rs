@@ -5,10 +5,47 @@
 //! harness runs the suite once and slices the results.
 
 use energy_model::{active_area, dcache_energy_nj, dtlb_energy_nj, price_lsq};
-use samie_lsq::SamieConfig;
+use ooo_sim::SimStats;
+use samie_lsq::{DesignSpec, SamieConfig};
+use spec_traces::Workload;
 
-use crate::runner::PairedRun;
+use crate::runner::{PairedRun, PointCache, RunConfig};
+use crate::sweep::{run_sweep, SweepGrid, SweepOptions};
 use crate::table::{fmt, Table};
+
+/// Run the paired grid — the conventional baseline and SAMIE over
+/// `benchmarks` — as one [`run_sweep`] (through `cache` when given) and
+/// pair its points per benchmark, in benchmark order. Trace generation
+/// is deterministic per `(workload, seed)`, so each design of a pair is
+/// an independent point that hits the store on its own.
+pub fn run_with(
+    rc: &RunConfig,
+    cache: Option<&PointCache>,
+    benchmarks: impl IntoIterator<Item = Workload>,
+) -> Vec<PairedRun> {
+    let grid = SweepGrid::paper(
+        [DesignSpec::conventional_paper(), DesignSpec::samie_paper()],
+        benchmarks.into_iter().collect(),
+        *rc,
+    );
+    let opts = SweepOptions {
+        cache,
+        ..Default::default()
+    };
+    // The grid expands design-major: every conventional point, then
+    // every SAMIE point.
+    let mut points = run_sweep(&grid, &opts).points;
+    let samie = points.split_off(points.len() / 2);
+    points
+        .into_iter()
+        .zip(samie)
+        .map(|(c, s)| PairedRun {
+            name: c.bench,
+            conv: c.stats,
+            samie: s.stats,
+        })
+        .collect()
+}
 
 /// Figure 5 — % IPC loss of SAMIE vs the conventional LSQ.
 pub fn fig5_table(runs: &[PairedRun]) -> Table {
@@ -20,7 +57,7 @@ pub fn fig5_table(runs: &[PairedRun]) -> Table {
     for r in runs {
         sum += r.ipc_loss();
         t.push_row(vec![
-            r.name.into(),
+            r.name.clone(),
             fmt(r.conv.ipc(), 3),
             fmt(r.samie.ipc(), 3),
             fmt(r.ipc_loss() * 100.0, 2),
@@ -44,7 +81,7 @@ pub fn fig6_table(runs: &[PairedRun]) -> Table {
     for r in runs {
         let ns = r.samie.nospace_flushes as f64 * 1e6 / r.samie.cycles.max(1) as f64;
         t.push_row(vec![
-            r.name.into(),
+            r.name.clone(),
             fmt(r.samie.deadlocks_per_mcycle(), 1),
             fmt(ns, 1),
         ]);
@@ -52,157 +89,123 @@ pub fn fig6_table(runs: &[PairedRun]) -> Table {
     t
 }
 
-/// Figure 7 — LSQ dynamic energy (nJ), conventional vs SAMIE.
-pub fn fig7_table(runs: &[PairedRun]) -> Table {
-    let mut t = Table::new(
-        "Figure 7 - LSQ dynamic energy (nJ)",
-        &["bench", "conventional_nj", "samie_nj", "saving_%"],
-    );
+/// A conventional-vs-SAMIE table of one per-run `metric`: a row per
+/// benchmark plus a SPEC row of the suite sums, each closed by
+/// `compare(conv, samie)` in percent.
+fn versus_table(
+    title: &str,
+    headers: &[&str],
+    runs: &[PairedRun],
+    metric: impl Fn(&SimStats) -> f64,
+    compare: fn(f64, f64) -> f64,
+) -> Table {
+    let mut t = Table::new(title, headers);
     let (mut csum, mut ssum) = (0.0, 0.0);
+    let mut row = |name: String, c: f64, s: f64| {
+        t.push_row(vec![name, fmt(c, 0), fmt(s, 0), fmt(compare(c, s), 1)]);
+    };
     for r in runs {
-        let c = price_lsq(&r.conv.lsq).total();
-        let s = price_lsq(&r.samie.lsq).total();
+        let (c, s) = (metric(&r.conv), metric(&r.samie));
         csum += c;
         ssum += s;
-        t.push_row(vec![
-            r.name.into(),
-            fmt(c, 0),
-            fmt(s, 0),
-            fmt((1.0 - s / c) * 100.0, 1),
-        ]);
+        row(r.name.clone(), c, s);
     }
-    t.push_row(vec![
-        "SPEC".into(),
-        fmt(csum, 0),
-        fmt(ssum, 0),
-        fmt((1.0 - ssum / csum) * 100.0, 1),
-    ]);
+    row("SPEC".into(), csum, ssum);
+    t
+}
+
+/// Percent saved going from `conv` to `samie`.
+fn saving(conv: f64, samie: f64) -> f64 {
+    (1.0 - samie / conv) * 100.0
+}
+
+/// Figure 7 — LSQ dynamic energy (nJ), conventional vs SAMIE.
+pub fn fig7_table(runs: &[PairedRun]) -> Table {
+    versus_table(
+        "Figure 7 - LSQ dynamic energy (nJ)",
+        &["bench", "conventional_nj", "samie_nj", "saving_%"],
+        runs,
+        |st| price_lsq(&st.lsq).total(),
+        saving,
+    )
+}
+
+/// A per-benchmark table of SAMIE's breakdown `shares` (fractions,
+/// shown in percent).
+fn breakdown_table(
+    title: &str,
+    headers: &[&str],
+    runs: &[PairedRun],
+    shares: impl Fn(&SimStats) -> Vec<f64>,
+) -> Table {
+    let mut t = Table::new(title, headers);
+    for r in runs {
+        let mut row = vec![r.name.clone()];
+        row.extend(shares(&r.samie).into_iter().map(|f| fmt(f * 100.0, 1)));
+        t.push_row(row);
+    }
     t
 }
 
 /// Figure 8 — SAMIE LSQ energy breakdown.
 pub fn fig8_table(runs: &[PairedRun]) -> Table {
-    let mut t = Table::new(
+    breakdown_table(
         "Figure 8 - SAMIE energy breakdown (%)",
         &["bench", "distriblsq", "sharedlsq", "addrbuffer", "bus"],
-    );
-    for r in runs {
-        let e = price_lsq(&r.samie.lsq);
-        let (d, s, a, b) = e.breakdown_fractions();
-        t.push_row(vec![
-            r.name.into(),
-            fmt(d * 100.0, 1),
-            fmt(s * 100.0, 1),
-            fmt(a * 100.0, 1),
-            fmt(b * 100.0, 1),
-        ]);
-    }
-    t
+        runs,
+        |st| {
+            let (d, s, a, b) = price_lsq(&st.lsq).breakdown_fractions();
+            vec![d, s, a, b]
+        },
+    )
 }
 
 /// Figure 9 — L1 D-cache dynamic energy.
 pub fn fig9_table(runs: &[PairedRun]) -> Table {
-    let mut t = Table::new(
+    versus_table(
         "Figure 9 - L1 D-cache dynamic energy (nJ)",
         &["bench", "conventional_nj", "samie_nj", "saving_%"],
-    );
-    let (mut csum, mut ssum) = (0.0, 0.0);
-    for r in runs {
-        let c = dcache_energy_nj(&r.conv.l1d);
-        let s = dcache_energy_nj(&r.samie.l1d);
-        csum += c;
-        ssum += s;
-        t.push_row(vec![
-            r.name.into(),
-            fmt(c, 0),
-            fmt(s, 0),
-            fmt((1.0 - s / c) * 100.0, 1),
-        ]);
-    }
-    t.push_row(vec![
-        "SPEC".into(),
-        fmt(csum, 0),
-        fmt(ssum, 0),
-        fmt((1.0 - ssum / csum) * 100.0, 1),
-    ]);
-    t
+        runs,
+        |st| dcache_energy_nj(&st.l1d),
+        saving,
+    )
 }
 
 /// Figure 10 — D-TLB dynamic energy.
 pub fn fig10_table(runs: &[PairedRun]) -> Table {
-    let mut t = Table::new(
+    versus_table(
         "Figure 10 - D-TLB dynamic energy (nJ)",
         &["bench", "conventional_nj", "samie_nj", "saving_%"],
-    );
-    let (mut csum, mut ssum) = (0.0, 0.0);
-    for r in runs {
-        let c = dtlb_energy_nj(r.conv.dtlb_accesses);
-        let s = dtlb_energy_nj(r.samie.dtlb_accesses);
-        csum += c;
-        ssum += s;
-        t.push_row(vec![
-            r.name.into(),
-            fmt(c, 0),
-            fmt(s, 0),
-            fmt((1.0 - s / c) * 100.0, 1),
-        ]);
-    }
-    t.push_row(vec![
-        "SPEC".into(),
-        fmt(csum, 0),
-        fmt(ssum, 0),
-        fmt((1.0 - ssum / csum) * 100.0, 1),
-    ]);
-    t
+        runs,
+        |st| dtlb_energy_nj(st.dtlb_accesses),
+        saving,
+    )
 }
 
 /// Figure 11 — accumulated active LSQ area (µm²·cycles).
 pub fn fig11_table(runs: &[PairedRun]) -> Table {
     let cfg = SamieConfig::paper();
-    let mut t = Table::new(
+    versus_table(
         "Figure 11 - accumulated active LSQ area (um2*cycles)",
         &["bench", "conventional", "samie", "samie_vs_conv_%"],
-    );
-    let (mut csum, mut ssum) = (0.0, 0.0);
-    for r in runs {
-        let c = active_area(&r.conv.lsq, &cfg).total();
-        let s = active_area(&r.samie.lsq, &cfg).total();
-        csum += c;
-        ssum += s;
-        t.push_row(vec![
-            r.name.into(),
-            fmt(c, 0),
-            fmt(s, 0),
-            fmt(s / c * 100.0, 1),
-        ]);
-    }
-    t.push_row(vec![
-        "SPEC".into(),
-        fmt(csum, 0),
-        fmt(ssum, 0),
-        fmt(ssum / csum * 100.0, 1),
-    ]);
-    t
+        runs,
+        |st| active_area(&st.lsq, &cfg).total(),
+        |conv, samie| samie / conv * 100.0,
+    )
 }
 
 /// Figure 12 — SAMIE active-area breakdown.
 pub fn fig12_table(runs: &[PairedRun]) -> Table {
     let cfg = SamieConfig::paper();
-    let mut t = Table::new(
+    breakdown_table(
         "Figure 12 - SAMIE active-area breakdown (%)",
         &["bench", "distriblsq", "sharedlsq", "addrbuffer"],
-    );
-    for r in runs {
-        let a = active_area(&r.samie.lsq, &cfg);
-        let (d, s, b) = a.breakdown_fractions();
-        t.push_row(vec![
-            r.name.into(),
-            fmt(d * 100.0, 1),
-            fmt(s * 100.0, 1),
-            fmt(b * 100.0, 1),
-        ]);
-    }
-    t
+        runs,
+        |st| {
+            let (d, s, b) = active_area(&st.lsq, &cfg).breakdown_fractions();
+            vec![d, s, b]
+        },
+    )
 }
 
 /// Headline numbers of the paper's abstract / §5, measured vs published.
@@ -226,30 +229,23 @@ pub fn summary_table(runs: &[PairedRun]) -> Table {
         "Summary - headline results (measured vs paper)",
         &["metric", "measured", "paper"],
     );
-    t.push_row(vec![
-        "LSQ dynamic energy saving".into(),
-        fmt(lsq_saving * 100.0, 1) + "%",
-        "82%".into(),
-    ]);
-    t.push_row(vec![
-        "L1 D-cache energy saving".into(),
-        fmt(dcache_saving * 100.0, 1) + "%",
-        "42%".into(),
-    ]);
-    t.push_row(vec![
-        "D-TLB energy saving".into(),
-        fmt(dtlb_saving * 100.0, 1) + "%",
-        "73%".into(),
-    ]);
-    t.push_row(vec![
-        "IPC loss".into(),
-        fmt(ipc_loss * 100.0, 2) + "%",
-        "0.6%".into(),
-    ]);
-    t.push_row(vec![
-        "SAMIE active area vs conventional".into(),
-        fmt(area_ratio * 100.0, 1) + "%",
-        "~95% (5% smaller)".into(),
-    ]);
+    for (metric, measured, digits, paper) in [
+        ("LSQ dynamic energy saving", lsq_saving, 1, "82%"),
+        ("L1 D-cache energy saving", dcache_saving, 1, "42%"),
+        ("D-TLB energy saving", dtlb_saving, 1, "73%"),
+        ("IPC loss", ipc_loss, 2, "0.6%"),
+        (
+            "SAMIE active area vs conventional",
+            area_ratio,
+            1,
+            "~95% (5% smaller)",
+        ),
+    ] {
+        t.push_row(vec![
+            metric.into(),
+            fmt(measured * 100.0, digits) + "%",
+            paper.into(),
+        ]);
+    }
     t
 }

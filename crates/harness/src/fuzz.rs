@@ -475,12 +475,11 @@ mod tests {
         // A checked design must produce bit-identical stats to the bare
         // design — otherwise the fuzzer would test a different machine.
         let w = spec_traces::find_workload("gzip").unwrap();
-        let plain = crate::runner::run_one(&w, DesignSpec::samie_paper(), &quick_rc());
-        let wrapped = crate::runner::run_one(
-            &w,
-            checked(Arc::new(DesignSpec::samie_paper()) as DesignHandle),
-            &quick_rc(),
-        );
+        let report = SimSession::new(DesignSpec::samie_paper(), &w)
+            .design(checked(Arc::new(DesignSpec::samie_paper()) as DesignHandle))
+            .run_config(quick_rc())
+            .run();
+        let (plain, wrapped) = (&report.runs[0].stats, &report.runs[1].stats);
         assert_eq!(plain, wrapped);
     }
 

@@ -46,9 +46,11 @@
 //! [`DesignRegistry`]), built once through the object-safe
 //! `Box<dyn LoadStoreQueue>` factory, and simulated on identical traces —
 //! one design or any-N comparisons, with streaming progress observers.
-//! [`runner::run_one`], [`runner::run_paired`], the sweep engine, the CLI,
-//! the examples and the benches all construct their LSQs through this one
-//! path.
+//! One-off runs (the CLI's `record` and `rv run`, the examples, the
+//! fuzzer) use a session directly; every batch of points — sweeps and
+//! the book — goes through [`sweep::run_sweep`], whose points (like the
+//! sizing study's) take the one cached point path,
+//! [`runner::run_point`].
 
 pub mod chart;
 pub mod experiment;
@@ -67,10 +69,7 @@ pub use experiment::{BenchSel, ConfigOverrides, ExperimentParseError, Experiment
 pub use fuzz::{differential_check, run_fuzz, FuzzConfig, FuzzMismatch, FuzzReport};
 pub use profile::{run_profile, ProfilePoint, ProfileReport};
 pub use report::{generate_book, BookSummary, ReportOptions};
-pub use runner::{
-    parallel_map, parallel_map_with, run_one, run_one_configured, run_paired, run_paired_suite,
-    run_paired_suite_with, PairedRun, PointCache, RunConfig, Runner,
-};
+pub use runner::{parallel_map_with, run_point, PairedRun, PointCache, RunConfig};
 pub use samie_lsq::{DesignHandle, DesignParseError, DesignRegistry, DesignSpec, LsqFactory};
 pub use session::{DesignRun, SessionEvent, SessionReport, SimSession};
 pub use sweep::{

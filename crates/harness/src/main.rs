@@ -108,11 +108,11 @@ use exp_harness::experiment::{BenchSel, ExperimentSpec};
 use exp_harness::experiments::{fig1, fig3_4, paired, tab1_delay, tab456};
 use exp_harness::fuzz::{run_fuzz, FuzzConfig};
 use exp_harness::report::{generate_book, ReportOptions};
-use exp_harness::runner::{run_paired_suite, PointCache, RunConfig, Runner};
+use exp_harness::runner::{PairedRun, PointCache, RunConfig};
 use exp_harness::session::SimSession;
-use exp_harness::sweep::{check_regression, run_sweep, ShardSpec, SweepOptions};
+use exp_harness::sweep::{check_regression, run_sweep, ShardSpec, SweepGrid, SweepOptions};
 use exp_harness::table::Table;
-use exp_harness::{DesignRegistry, DesignSpec, SIM_VERSION};
+use exp_harness::{DesignHandle, DesignRegistry, DesignSpec, SIM_VERSION};
 use spec_traces::{all_benchmarks, find_workload, Workload};
 
 /// What the first positional argument asks for. The paper experiment ids
@@ -143,20 +143,24 @@ const PAPER_IDS: &[&str] = &[
     "fig11", "fig12", "tab456", "summary", "all",
 ];
 
+/// The mode commands, by the word that selects them.
+const MODES: [(&str, Command); 10] = [
+    ("sweep", Command::Sweep),
+    ("bench", Command::Bench),
+    ("profile", Command::Profile),
+    ("designs", Command::Designs),
+    ("fuzz", Command::Fuzz),
+    ("record", Command::Record),
+    ("report", Command::Report),
+    ("store", Command::Store),
+    ("analyze", Command::Analyze),
+    ("rv", Command::Rv),
+];
+
 impl Command {
     fn parse(word: &str) -> Result<Command, String> {
-        match word {
-            "sweep" => return Ok(Command::Sweep),
-            "bench" => return Ok(Command::Bench),
-            "profile" => return Ok(Command::Profile),
-            "designs" => return Ok(Command::Designs),
-            "fuzz" => return Ok(Command::Fuzz),
-            "record" => return Ok(Command::Record),
-            "report" => return Ok(Command::Report),
-            "store" => return Ok(Command::Store),
-            "analyze" => return Ok(Command::Analyze),
-            "rv" => return Ok(Command::Rv),
-            _ => {}
+        if let Some((_, mode)) = MODES.iter().find(|(w, _)| *w == word) {
+            return Ok(mode.clone());
         }
         if PAPER_IDS.contains(&word) {
             return Ok(Command::Paper(word.to_string()));
@@ -164,10 +168,7 @@ impl Command {
         let known: Vec<&str> = PAPER_IDS
             .iter()
             .copied()
-            .chain([
-                "sweep", "bench", "profile", "designs", "fuzz", "record", "report", "store",
-                "analyze", "rv",
-            ])
+            .chain(MODES.iter().map(|(w, _)| *w))
             .collect();
         let mut msg = format!("unknown command `{word}`");
         if let Some(best) = closest(word, &known) {
@@ -420,36 +421,59 @@ fn run_fuzz_command(args: &Args) -> i32 {
     4
 }
 
-/// `record` entry point: capture the trace a session consumes.
-fn run_record_command(args: &Args) -> i32 {
-    let bench = args.benchmarks.as_deref().unwrap_or("gzip");
-    let workload = find_workload(bench).unwrap_or_else(|e| panic!("{e}"));
-    let registry = DesignRegistry::builtin();
-    let designs = registry
+impl Args {
+    /// Run length of the one-off commands (`record`, `rv run`): the
+    /// given `--instrs`/`--warmup`/`--quick`, else [`RunConfig::quick`].
+    fn one_off_rc(&self) -> RunConfig {
+        if self.instrs_set || self.warmup_set {
+            self.rc
+        } else {
+            RunConfig {
+                seed: self.rc.seed,
+                ..RunConfig::quick()
+            }
+        }
+    }
+}
+
+/// A bad flag value caught after parsing: one `samie-exp: FLAG: ...`
+/// line on stderr and the usage-error exit code 2.
+fn usage_error(flag: &str, e: impl std::fmt::Display) -> i32 {
+    eprintln!("samie-exp: {flag}: {e}");
+    2
+}
+
+/// `--designs` (default: all six families) as registry handles, or the
+/// usage-error exit code.
+fn designs_arg(args: &Args) -> Result<Vec<DesignHandle>, i32> {
+    DesignRegistry::builtin()
         .parse_list(
             args.designs
                 .as_deref()
                 .unwrap_or("conv:128,filtered,samie,arb,unbounded,oracle"),
         )
-        .unwrap_or_else(|e| panic!("{e}"));
-    let rc = if args.instrs_set || args.warmup_set {
-        args.rc
-    } else {
-        RunConfig {
-            seed: args.rc.seed,
-            ..RunConfig::quick()
-        }
+        .map_err(|e| usage_error("--designs", e))
+}
+
+/// `record` entry point: capture the trace a session consumes.
+fn run_record_command(args: &Args) -> i32 {
+    let bench = args.benchmarks.as_deref().unwrap_or("gzip");
+    let workload = match find_workload(bench) {
+        Ok(w) => w,
+        Err(e) => return usage_error("--bench", e),
     };
+    let designs = match designs_arg(args) {
+        Ok(d) => d,
+        Err(code) => return code,
+    };
+    let rc = args.one_off_rc();
     let path = args
         .out
         .join(format!("{}-s{}.strc", workload.name(), rc.seed));
-    let mut session = SimSession::new(&designs[0], &workload)
+    let session = SimSession::new(&designs[0], &workload)
         .run_config(rc)
         .record(&path);
-    for d in &designs[1..] {
-        session = session.design(d);
-    }
-    let report = session.run();
+    let report = designs[1..].iter().fold(session, |s, d| s.design(d)).run();
     for run in &report.runs {
         println!("  {:<28} ipc {:.4}", run.id, run.stats.ipc());
     }
@@ -509,10 +533,10 @@ fn open_cache(args: &Args, disabled: bool) -> CacheState {
     }
 }
 
-/// Resolve the experiment for `sweep`/`bench`: start from `--exp` (or
-/// the mode's default grid), then let the explicit flags override
+/// Resolve the grid for `sweep`/`bench`/`profile`: start from `--exp`
+/// (or the mode's default grid), then let the explicit flags override
 /// individual fields.
-fn build_spec(args: &Args, is_bench: bool) -> Result<ExperimentSpec, String> {
+fn build_grid(args: &Args, is_bench: bool) -> Result<SweepGrid, String> {
     let mut spec = match &args.exp {
         Some(s) => s.parse::<ExperimentSpec>().map_err(|e| e.to_string())?,
         None if is_bench => ExperimentSpec::bench_default(args.rc),
@@ -537,21 +561,13 @@ fn build_spec(args: &Args, is_bench: bool) -> Result<ExperimentSpec, String> {
             .map(|x| x.parse().map_err(|_| format!("bad seed `{x}`")))
             .collect::<Result<_, _>>()?;
     }
-    spec.validate()?;
-    Ok(spec)
+    spec.to_grid()
 }
 
 /// `sweep` / `bench` entry point; returns the process exit code.
 fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
     let mode = if is_bench { "bench" } else { "sweep" };
-    let spec = match build_spec(args, is_bench) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{mode}: {e}");
-            return 2;
-        }
-    };
-    let grid = match spec.to_grid() {
+    let grid = match build_grid(args, is_bench) {
         Ok(g) => g,
         Err(e) => {
             eprintln!("{mode}: {e}");
@@ -579,7 +595,7 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
         eprintln!("a sharded worker without a store would simulate into the void");
         return 2;
     }
-    let n = spec.points();
+    let n = grid.designs.len() * grid.benchmarks.len() * grid.seeds.len();
     let shard_note = args
         .shard
         .map(|s| format!(" [shard {s}]"))
@@ -589,8 +605,8 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
         grid.designs.len(),
         grid.benchmarks.len(),
         grid.seeds.len(),
-        spec.warmup,
-        spec.instrs,
+        grid.rc.warmup,
+        grid.rc.instrs,
     );
     let mut report = run_sweep(
         &grid,
@@ -651,14 +667,7 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
 /// serially by construction — concurrent points would contend for cores
 /// and smear each other's timings.
 fn run_profile_command(args: &Args) -> i32 {
-    let spec = match build_spec(args, true) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("profile: {e}");
-            return 2;
-        }
-    };
-    let grid = match spec.to_grid() {
+    let grid = match build_grid(args, true) {
         Ok(g) => g,
         Err(e) => {
             eprintln!("profile: {e}");
@@ -670,8 +679,8 @@ fn run_profile_command(args: &Args) -> i32 {
         grid.designs.len(),
         grid.benchmarks.len(),
         grid.seeds.len(),
-        spec.warmup,
-        spec.instrs,
+        grid.rc.warmup,
+        grid.rc.instrs,
     );
     let report = exp_harness::run_profile(&grid);
     println!("{}", report.table().render());
@@ -704,9 +713,7 @@ fn run_report_command(args: &Args) -> i32 {
         }
     }
     let mut opts = ReportOptions::new(args.rc, &out);
-    if let Some(c) = cache.cache() {
-        opts.runner = Runner::cached(c);
-    }
+    opts.cache = cache.cache();
     eprintln!(
         "report: {} benchmarks, {} + {} instrs per point (seed {}) -> {}",
         opts.suite.len(),
@@ -968,22 +975,11 @@ fn run_rv_run(args: &Args, target: &str) -> i32 {
             }
         }
     };
-    let registry = DesignRegistry::builtin();
-    let designs = registry
-        .parse_list(
-            args.designs
-                .as_deref()
-                .unwrap_or("conv:128,filtered,samie,arb,unbounded,oracle"),
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-    let rc = if args.instrs_set || args.warmup_set {
-        args.rc
-    } else {
-        RunConfig {
-            seed: args.rc.seed,
-            ..RunConfig::quick()
-        }
+    let designs = match designs_arg(args) {
+        Ok(d) => d,
+        Err(code) => return code,
     };
+    let rc = args.one_off_rc();
     let rv = workload
         .rv()
         .expect("rv run targets carry a program")
@@ -998,13 +994,10 @@ fn run_rv_run(args: &Args, target: &str) -> i32 {
         rc.instrs,
         designs.len(),
     );
-    let mut session = SimSession::new(&designs[0], &workload)
+    let session = SimSession::new(&designs[0], &workload)
         .run_config(rc)
         .arch_oracle();
-    for d in &designs[1..] {
-        session = session.design(d);
-    }
-    let report = session.run();
+    let report = designs[1..].iter().fold(session, |s, d| s.design(d)).run();
     for run in &report.runs {
         println!(
             "  {:<28} ipc {:.4}  committed {}",
@@ -1117,81 +1110,52 @@ fn main() {
         rc.instrs, rc.warmup, rc.seed
     );
 
-    let needs_paired = matches!(
-        exp,
-        "fig5"
-            | "fig6"
-            | "fig7"
-            | "fig8"
-            | "fig9"
-            | "fig10"
-            | "fig11"
-            | "fig12"
-            | "summary"
-            | "all"
-    );
-    let paired_runs = if needs_paired {
-        eprintln!("simulating the 26-benchmark suite under both LSQs...");
-        Some(run_paired_suite(
-            &all_benchmarks().iter().collect::<Vec<_>>(),
-            &rc,
-        ))
-    } else {
-        None
-    };
-
-    let mut emitted = false;
-    if exp == "fig1" || exp == "all" {
+    // `Command::parse` admits only PAPER_IDS, so every id emits something.
+    let wants = |id: &str| exp == id || exp == "all";
+    let show = |t: &Table| emit(t, &args.out, args.chart);
+    if wants("fig1") {
         eprintln!("ARB sweep (17 configurations x 26 benchmarks)...");
-        let points = fig1::run(&rc);
-        emit(&fig1::table(&points), &args.out, args.chart);
-        emitted = true;
+        show(&fig1::table(&fig1::run_with(&rc, None, all_benchmarks())));
     }
-    if matches!(exp, "fig3" | "fig4" | "all") {
+    if wants("fig3") || wants("fig4") {
         eprintln!("SharedLSQ sizing study (3 geometries x 26 benchmarks)...");
-        let runs = fig3_4::run(&rc);
+        let runs = fig3_4::run_with(&rc, None, all_benchmarks());
         if exp != "fig4" {
-            emit(&fig3_4::fig3_table(&runs), &args.out, args.chart);
+            show(&fig3_4::fig3_table(&runs));
         }
         if exp != "fig3" {
-            emit(&fig3_4::fig4_table(&runs), &args.out, args.chart);
+            show(&fig3_4::fig4_table(&runs));
         }
-        emitted = true;
     }
-    if matches!(exp, "tab1" | "all") {
-        emit(&tab1_delay::tab1_table(), &args.out, args.chart);
-        emitted = true;
+    if wants("tab1") {
+        show(&tab1_delay::tab1_table());
     }
-    if matches!(exp, "delay" | "all") {
-        emit(&tab1_delay::delay_table(), &args.out, args.chart);
-        emitted = true;
+    if wants("delay") {
+        show(&tab1_delay::delay_table());
     }
-    if let Some(runs) = &paired_runs {
-        let tables: Vec<(&str, Table)> = vec![
-            ("fig5", paired::fig5_table(runs)),
-            ("fig6", paired::fig6_table(runs)),
-            ("fig7", paired::fig7_table(runs)),
-            ("fig8", paired::fig8_table(runs)),
-            ("fig9", paired::fig9_table(runs)),
-            ("fig10", paired::fig10_table(runs)),
-            ("fig11", paired::fig11_table(runs)),
-            ("fig12", paired::fig12_table(runs)),
-            ("summary", paired::summary_table(runs)),
-        ];
-        for (id, t) in tables {
-            if exp == id || exp == "all" {
-                emit(&t, &args.out, args.chart);
-                emitted = true;
+    type PairedTable = fn(&[PairedRun]) -> Table;
+    let paired_tables: [(&str, PairedTable); 9] = [
+        ("fig5", paired::fig5_table),
+        ("fig6", paired::fig6_table),
+        ("fig7", paired::fig7_table),
+        ("fig8", paired::fig8_table),
+        ("fig9", paired::fig9_table),
+        ("fig10", paired::fig10_table),
+        ("fig11", paired::fig11_table),
+        ("fig12", paired::fig12_table),
+        ("summary", paired::summary_table),
+    ];
+    if paired_tables.iter().any(|(id, _)| wants(id)) {
+        eprintln!("simulating the 26-benchmark suite under both LSQs...");
+        let runs = paired::run_with(&rc, None, all_benchmarks().iter().map(Workload::from));
+        for (id, table) in paired_tables {
+            if wants(id) {
+                show(&table(&runs));
             }
         }
     }
-    if matches!(exp, "tab456" | "all") {
-        emit(&tab456::regen_table45(), &args.out, args.chart);
-        emit(&tab456::table6(), &args.out, args.chart);
-        emitted = true;
-    }
-    if !emitted {
-        eprintln!("unknown experiment `{exp}`; run with --help");
-        std::process::exit(2);
+    if wants("tab456") {
+        show(&tab456::regen_table45());
+        show(&tab456::table6());
     }
 }

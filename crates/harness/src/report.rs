@@ -6,10 +6,15 @@
 //! delays, Figures 1 and 3–12, Tables 4–6, and the §4/§5 summary) and a
 //! real-program chapter (the committed RV32I(M) workloads with their
 //! architectural-oracle witness), each holding the regenerated data as a
-//! Markdown table and, for the figures, a deterministic SVG bar chart. Every simulation point flows
-//! through the [`Runner`] — hand it a store-cached runner and a re-run
-//! after a code-free change is almost pure cache hits, making the whole
-//! reproduction one cheap idempotent command.
+//! Markdown table and, for the figures, a deterministic SVG bar chart.
+//! The Figure 1 points run as one [`run_sweep`](crate::sweep::run_sweep)
+//! grid, the paired and real-program points as a second, and the sizing
+//! study through the same [`run_point`](crate::runner::run_point) path —
+//! all under [`ReportOptions::cache`]. Hand it an experiment store and a
+//! re-run after a code-free change is almost pure cache hits, making the
+//! whole reproduction one cheap idempotent command. The store keys are
+//! those of `samie-exp sweep`, so a sweep over the paper pair warms the
+//! book too.
 //!
 //! Output is byte-deterministic: page content derives only from simulated
 //! statistics (themselves deterministic per seed) and contains no
@@ -41,14 +46,14 @@ use std::time::{Duration, Instant};
 use energy_model::price_lsq;
 use exp_store::SIM_VERSION;
 use samie_lsq::DesignSpec;
-use spec_traces::{all_benchmarks, find_workload, WorkloadSpec, RV_PROGRAM_NAMES};
+use spec_traces::{all_benchmarks, find_workload, Workload, WorkloadSpec, RV_PROGRAM_NAMES};
 
 use crate::chart::svg_bar_chart;
 use crate::experiments::{fig1, fig3_4, paired, tab1_delay, tab456};
-use crate::runner::{run_paired_suite_with, RunConfig, Runner};
+use crate::runner::{PairedRun, PointCache, RunConfig};
 use crate::table::{fmt, Table};
 
-/// What to reproduce, where to, and through which runner.
+/// What to reproduce, where to, and through which experiment store.
 pub struct ReportOptions<'a> {
     /// Simulation length per point (the paper: 100 M + 100 M; the
     /// committed book: `--quick`, 120 k + 30 k).
@@ -58,18 +63,19 @@ pub struct ReportOptions<'a> {
     pub suite: Vec<WorkloadSpec>,
     /// Book output directory (conventionally `docs/book`).
     pub out: PathBuf,
-    /// Point runner — pass [`Runner::cached`] for incremental re-runs.
-    pub runner: Runner<'a>,
+    /// Experiment store to consult and fill — pass one for incremental
+    /// re-runs (`None` = simulate every point).
+    pub cache: Option<&'a PointCache>,
 }
 
 impl ReportOptions<'static> {
-    /// Options over the full calibrated suite with a direct runner.
+    /// Options over the full calibrated suite, without a store.
     pub fn new(rc: RunConfig, out: impl Into<PathBuf>) -> Self {
         ReportOptions {
             rc,
             suite: all_benchmarks().to_vec(),
             out: out.into(),
-            runner: Runner::direct(),
+            cache: None,
         }
     }
 }
@@ -99,12 +105,24 @@ pub fn generate_book(opts: &ReportOptions<'_>) -> io::Result<BookSummary> {
     assert!(!opts.suite.is_empty(), "report needs a non-empty suite");
     let t0 = Instant::now();
     let rc = &opts.rc;
-    let runner = &opts.runner;
 
-    // All simulation, through the (possibly cached) runner.
-    let fig1_points = fig1::run_with(rc, runner, &opts.suite);
-    let sizing_runs = fig3_4::run_with(rc, runner, &opts.suite);
-    let paired_runs = run_paired_suite_with(&opts.suite, rc, runner);
+    // All simulation, through the (possibly cached) point path. The
+    // paired grid covers the suite and the real programs in one sweep.
+    let fig1_points = fig1::run_with(rc, opts.cache, &opts.suite);
+    let sizing_runs = fig3_4::run_with(rc, opts.cache, &opts.suite);
+    let programs: Vec<Workload> = RV_PROGRAM_NAMES
+        .iter()
+        .map(|name| find_workload(name).expect("committed program in the catalog"))
+        .collect();
+    let pairs = paired::run_with(
+        rc,
+        opts.cache,
+        opts.suite
+            .iter()
+            .map(|s| Workload::from(*s))
+            .chain(programs.iter().cloned()),
+    );
+    let (paired_runs, program_runs) = pairs.split_at(opts.suite.len());
 
     let pages = vec![
         Page {
@@ -156,7 +174,7 @@ pub fn generate_book(opts: &ReportOptions<'_>) -> io::Result<BookSummary> {
             title: "Figure 5 — % IPC loss of SAMIE-LSQ vs conventional",
             blurb: "Per-benchmark IPC cost of SAMIE-LSQ against the 128-entry \
                     conventional LSQ on identical traces (paper headline: 0.6 % average).",
-            tables: vec![paired::fig5_table(&paired_runs)],
+            tables: vec![paired::fig5_table(paired_runs)],
             chart: Some((0, 0, 3)),
         },
         Page {
@@ -164,7 +182,7 @@ pub fn generate_book(opts: &ReportOptions<'_>) -> io::Result<BookSummary> {
             title: "Figure 6 — deadlock-avoidance flushes",
             blurb: "§3.3 deadlock-avoidance flushes per million cycles under SAMIE-LSQ, \
                     plus no-space flushes.",
-            tables: vec![paired::fig6_table(&paired_runs)],
+            tables: vec![paired::fig6_table(paired_runs)],
             chart: Some((0, 0, 1)),
         },
         Page {
@@ -172,7 +190,7 @@ pub fn generate_book(opts: &ReportOptions<'_>) -> io::Result<BookSummary> {
             title: "Figure 7 — LSQ dynamic energy",
             blurb: "LSQ dynamic energy (nJ) per benchmark, conventional vs SAMIE \
                     (paper headline: 82 % saving).",
-            tables: vec![paired::fig7_table(&paired_runs)],
+            tables: vec![paired::fig7_table(paired_runs)],
             chart: Some((0, 0, 3)),
         },
         Page {
@@ -180,7 +198,7 @@ pub fn generate_book(opts: &ReportOptions<'_>) -> io::Result<BookSummary> {
             title: "Figure 8 — SAMIE energy breakdown",
             blurb: "Where SAMIE's remaining LSQ energy goes: DistribLSQ, SharedLSQ, \
                     AddrBuffer and the distribution bus (percent of total).",
-            tables: vec![paired::fig8_table(&paired_runs)],
+            tables: vec![paired::fig8_table(paired_runs)],
             chart: None,
         },
         Page {
@@ -188,7 +206,7 @@ pub fn generate_book(opts: &ReportOptions<'_>) -> io::Result<BookSummary> {
             title: "Figure 9 — L1 D-cache dynamic energy",
             blurb: "D-cache energy with SAMIE's way-known (single-way, no tag check) \
                     accesses vs conventional accesses (paper headline: 42 % saving).",
-            tables: vec![paired::fig9_table(&paired_runs)],
+            tables: vec![paired::fig9_table(paired_runs)],
             chart: Some((0, 0, 3)),
         },
         Page {
@@ -196,7 +214,7 @@ pub fn generate_book(opts: &ReportOptions<'_>) -> io::Result<BookSummary> {
             title: "Figure 10 — D-TLB dynamic energy",
             blurb: "D-TLB energy with SAMIE's cached translations vs a lookup per \
                     memory access (paper headline: 73 % saving).",
-            tables: vec![paired::fig10_table(&paired_runs)],
+            tables: vec![paired::fig10_table(paired_runs)],
             chart: Some((0, 0, 3)),
         },
         Page {
@@ -204,14 +222,14 @@ pub fn generate_book(opts: &ReportOptions<'_>) -> io::Result<BookSummary> {
             title: "Figure 11 — accumulated active LSQ area",
             blurb: "Active-area integrals (µm²·cycles) under the §4.2 activation \
                     policies, conventional vs SAMIE.",
-            tables: vec![paired::fig11_table(&paired_runs)],
+            tables: vec![paired::fig11_table(paired_runs)],
             chart: Some((0, 0, 3)),
         },
         Page {
             slug: "fig12",
             title: "Figure 12 — SAMIE active-area breakdown",
             blurb: "Active-area share of DistribLSQ, SharedLSQ and AddrBuffer.",
-            tables: vec![paired::fig12_table(&paired_runs)],
+            tables: vec![paired::fig12_table(paired_runs)],
             chart: None,
         },
         Page {
@@ -229,7 +247,7 @@ pub fn generate_book(opts: &ReportOptions<'_>) -> io::Result<BookSummary> {
             blurb: "The abstract's claims, measured: LSQ/D-cache/D-TLB energy savings, \
                     IPC loss and active area, suite averages against the published \
                     numbers.",
-            tables: vec![paired::summary_table(&paired_runs)],
+            tables: vec![paired::summary_table(paired_runs)],
             chart: None,
         },
         Page {
@@ -242,7 +260,10 @@ pub fn generate_book(opts: &ReportOptions<'_>) -> io::Result<BookSummary> {
                     architectural oracle's witness — the final register/memory state a \
                     fresh re-execution must reproduce — so any emulator or program \
                     change shows up here byte-visibly.",
-            tables: vec![realprog_table(runner, rc), realprog_oracle_table()],
+            tables: vec![
+                realprog_table(&programs, program_runs),
+                realprog_oracle_table(),
+            ],
             chart: Some((0, 0, 4)),
         },
     ];
@@ -279,7 +300,7 @@ pub fn generate_book(opts: &ReportOptions<'_>) -> io::Result<BookSummary> {
 /// The real-program chapter: the committed RV32I(M) programs through
 /// the paper pair on their retired-op traces (identical per design, as
 /// everywhere in the book).
-fn realprog_table(runner: &Runner<'_>, rc: &RunConfig) -> Table {
+fn realprog_table(programs: &[Workload], runs: &[PairedRun]) -> Table {
     let mut t = Table::new(
         "Real programs - IPC and LSQ energy, conventional vs SAMIE",
         &[
@@ -293,15 +314,15 @@ fn realprog_table(runner: &Runner<'_>, rc: &RunConfig) -> Table {
             "saving_%",
         ],
     );
-    for name in RV_PROGRAM_NAMES {
-        let w = find_workload(name).expect("committed program in the catalog");
-        let conv = runner.stats(&DesignSpec::conventional_paper(), &w, rc);
-        let samie = runner.stats(&DesignSpec::samie_paper(), &w, rc);
-        let (ci, si) = (conv.ipc(), samie.ipc());
-        let (ce, se) = (price_lsq(&conv.lsq).total(), price_lsq(&samie.lsq).total());
+    for (w, r) in programs.iter().zip(runs) {
+        let (ci, si) = (r.conv.ipc(), r.samie.ipc());
+        let (ce, se) = (
+            price_lsq(&r.conv.lsq).total(),
+            price_lsq(&r.samie.lsq).total(),
+        );
         let period = w.rv().expect("rv workload").period();
         t.push_row(vec![
-            name.into(),
+            r.name.clone(),
             period.to_string(),
             fmt(ci, 4),
             fmt(si, 4),
@@ -456,14 +477,15 @@ mod tests {
 
     #[test]
     fn cached_rerun_hits_for_every_point() {
-        use crate::runner::PointCache;
+        use crate::sweep::{run_sweep, SweepGrid, SweepOptions};
         let dir = std::env::temp_dir().join("samie-report-cache-test");
         let _ = std::fs::remove_dir_all(&dir);
         let cache = PointCache::open(dir.join("store")).unwrap();
+        let swept = PointCache::open(dir.join("swept-store")).unwrap();
 
         let mut opts = tiny_opts(&dir.join("book"));
         opts.suite.truncate(1);
-        opts.runner = Runner::cached(&cache);
+        opts.cache = Some(&cache);
         generate_book(&opts).unwrap();
         let (h0, m0) = (cache.hits(), cache.misses());
         assert_eq!(h0, 0, "cold store");
@@ -473,6 +495,31 @@ mod tests {
         assert_eq!(cache.misses(), m0, "warm re-run simulates nothing");
         assert_eq!(cache.hits(), m0, "every point served from the store");
         assert!(cache.saved() > Duration::ZERO);
+
+        // A plain sweep over the paper pair keys its points exactly like
+        // the book: a store it filled spares the cold book those points.
+        let grid = SweepGrid::paper(
+            [DesignSpec::conventional_paper(), DesignSpec::samie_paper()],
+            opts.suite.iter().map(|s| Workload::from(*s)).collect(),
+            opts.rc,
+        );
+        let sweep = run_sweep(
+            &grid,
+            &SweepOptions {
+                cache: Some(&swept),
+                ..Default::default()
+            },
+        );
+        let filled = sweep.points.len() as u64;
+        assert_eq!((sweep.hits, swept.misses()), (0, filled));
+        opts.cache = Some(&swept);
+        generate_book(&opts).unwrap();
+        assert_eq!(swept.hits(), filled, "the book hits every swept point");
+        assert_eq!(
+            swept.misses() - filled,
+            m0 - filled,
+            "the cold book misses exactly the swept points fewer"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

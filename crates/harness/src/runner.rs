@@ -1,10 +1,11 @@
-//! Simulation runners: per-benchmark runs, paired (baseline vs SAMIE)
-//! runs, a scoped parallel map used by every experiment, and the
-//! experiment-store cache layer ([`PointCache`] / [`Runner`]) that lets
-//! every one of them skip points it has already simulated.
+//! The point path shared by every batch of simulations: [`run_point`]
+//! (the one function that keys a point, asks the experiment store and
+//! simulates on a miss), the store front end [`PointCache`], and the
+//! scoped parallel map [`parallel_map_with`] that sweeps fan out on.
 //!
-//! All runners are thin conveniences over [`SimSession`](crate::session)
-//! — the single construction path for every LSQ design.
+//! Batches of points go through [`run_sweep`](crate::sweep::run_sweep);
+//! one-off runs use [`SimSession`] directly — the single construction
+//! path for every LSQ design.
 
 use std::cell::UnsafeCell;
 use std::io;
@@ -16,10 +17,10 @@ use crossbeam::queue::SegQueue;
 
 use exp_store::{ExperimentStore, PointKey, StoreError, StoredPoint, SIM_VERSION};
 use ooo_sim::{SimConfig, SimStats};
-use samie_lsq::{DesignSpec, LoadStoreQueue};
-use spec_traces::{Workload, WorkloadSpec};
+use samie_lsq::LoadStoreQueue;
+use spec_traces::Workload;
 
-use crate::session::{IntoDesign, IntoWorkload, SimSession};
+use crate::session::{IntoDesign, SimSession};
 
 /// Monotonic nanoseconds since the first call — the harness's sanctioned
 /// clock for the pipeline profiler. `ooo-sim` deliberately takes time as
@@ -53,7 +54,7 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// A fast configuration for smoke tests and Criterion benches.
+    /// A fast configuration for smoke tests and the committed book.
     pub fn quick() -> Self {
         RunConfig {
             instrs: 120_000,
@@ -63,39 +64,12 @@ impl RunConfig {
     }
 }
 
-/// Run one workload under one LSQ design (a [`DesignSpec`] or any
-/// registry-produced handle; the workload may be a calibrated spec, an
-/// adversarial generator or a recorded replay trace).
-pub fn run_one(workload: impl IntoWorkload, design: impl IntoDesign, rc: &RunConfig) -> SimStats {
-    run_one_configured(workload, design, rc, SimConfig::paper())
-}
-
-/// [`run_one`] under an explicit core configuration (the sweep engine
-/// threads [`SweepGrid::cfg`](crate::sweep::SweepGrid::cfg) through
-/// here).
-pub fn run_one_configured(
-    workload: impl IntoWorkload,
-    design: impl IntoDesign,
-    rc: &RunConfig,
-    cfg: SimConfig,
-) -> SimStats {
-    let report = SimSession::new(design, workload)
-        .config(cfg)
-        .run_config(*rc)
-        .run();
-    report
-        .runs
-        .into_iter()
-        .next()
-        .expect("one design ran")
-        .stats
-}
-
-/// Baseline vs SAMIE results for one benchmark.
+/// Baseline vs SAMIE results for one benchmark: the two points of a
+/// paired grid (see [`paired::run_with`](crate::experiments::paired::run_with)).
 #[derive(Debug, Clone)]
 pub struct PairedRun {
     /// Benchmark name.
-    pub name: &'static str,
+    pub name: String,
     /// Conventional 128-entry LSQ run.
     pub conv: SimStats,
     /// SAMIE-LSQ (Table 3 configuration) run.
@@ -115,67 +89,15 @@ impl PairedRun {
     }
 }
 
-/// Run one benchmark under both paper designs (identical traces) — a
-/// two-design [`SimSession`] comparison.
-pub fn run_paired(spec: &'static WorkloadSpec, rc: &RunConfig) -> PairedRun {
-    let report = SimSession::new(DesignSpec::conventional_paper(), spec)
-        .design(DesignSpec::samie_paper())
-        .run_config(*rc)
-        .run();
-    let mut runs = report.runs.into_iter();
-    PairedRun {
-        name: spec.name,
-        conv: runs.next().expect("conventional ran").stats,
-        samie: runs.next().expect("samie ran").stats,
-    }
-}
-
-/// Paired runs for a whole suite, in suite order, in parallel.
-pub fn run_paired_suite(specs: &[&'static WorkloadSpec], rc: &RunConfig) -> Vec<PairedRun> {
-    parallel_map(specs, |s| run_paired(s, rc))
-}
-
-/// [`run_paired_suite`] through a [`Runner`] (store-cached when the
-/// runner is). Both designs of every benchmark become independent points
-/// in one parallel map — trace generation is deterministic per
-/// `(workload, seed)`, so splitting the pair changes nothing about the
-/// results while letting each half hit the cache separately.
-pub fn run_paired_suite_with(
-    specs: &[WorkloadSpec],
-    rc: &RunConfig,
-    runner: &Runner<'_>,
-) -> Vec<PairedRun> {
-    let jobs: Vec<(DesignSpec, Workload)> = specs
-        .iter()
-        .flat_map(|s| {
-            [
-                (DesignSpec::conventional_paper(), Workload::from(*s)),
-                (DesignSpec::samie_paper(), Workload::from(*s)),
-            ]
-        })
-        .collect();
-    let stats = parallel_map(&jobs, |(d, w)| runner.stats(d, w, rc));
-    specs
-        .iter()
-        .zip(stats.chunks_exact(2))
-        .map(|(s, pair)| PairedRun {
-            name: s.name,
-            conv: pair[0].clone(),
-            samie: pair[1].clone(),
-        })
-        .collect()
-}
-
 /// Thread-safe front end to an [`ExperimentStore`]: builds the
-/// [`PointKey`] for a simulation point (always under the paper's
-/// [`SimConfig`] and the current [`SIM_VERSION`]), serves cache hits, and
+/// [`PointKey`] for a simulation point (under its [`SimConfig`] and the
+/// current [`SIM_VERSION`]), serves cache hits, and
 /// records fresh results as soon as they are computed — which is what
 /// makes interrupted sweeps resumable. Hit/miss/saved-time counters are
 /// atomic so parallel sweep workers share one cache.
 #[derive(Debug)]
 pub struct PointCache {
     store: ExperimentStore,
-    sim_config: String,
     hits: AtomicU64,
     misses: AtomicU64,
     rejected: AtomicU64,
@@ -187,7 +109,6 @@ impl PointCache {
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
         Ok(PointCache {
             store: ExperimentStore::open(dir.as_ref())?,
-            sim_config: SimConfig::paper().canonical(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -200,20 +121,15 @@ impl PointCache {
         &self.store
     }
 
-    /// The key of one simulation point (under the paper configuration).
-    pub fn key(&self, design_id: &str, workload: &Workload, rc: &RunConfig) -> PointKey {
-        self.key_with_config(design_id, workload, rc, &self.sim_config)
-    }
-
-    /// [`key`](Self::key) under an explicit canonical core-configuration
-    /// string ([`SimConfig::canonical`]) — grids with config overrides
-    /// key their points here so overridden runs never alias paper runs.
-    pub fn key_with_config(
+    /// The key of one simulation point under core configuration `cfg`
+    /// (its canonical form is part of the key, so runs under config
+    /// overrides never alias paper runs).
+    pub fn key(
         &self,
         design_id: &str,
         workload: &Workload,
         rc: &RunConfig,
-        sim_config: &str,
+        cfg: &SimConfig,
     ) -> PointKey {
         PointKey {
             design: design_id.to_string(),
@@ -221,7 +137,7 @@ impl PointCache {
             seed: rc.seed,
             instrs: rc.instrs,
             warmup: rc.warmup,
-            sim_config: sim_config.to_string(),
+            sim_config: cfg.canonical(),
             sim_version: SIM_VERSION.to_string(),
         }
     }
@@ -319,96 +235,51 @@ impl PointCache {
     }
 }
 
-/// A probe reading named `u64` extras off a finished design (see
-/// [`Runner::stats_with_extras`]).
-pub type ExtrasProbe<'x> = dyn Fn(&dyn LoadStoreQueue) -> Vec<(String, u64)> + Sync + 'x;
-
-/// How experiments obtain per-point statistics: directly (always
-/// simulate) or through a [`PointCache`]. Passing a `Runner` instead of
-/// calling [`run_one`] is what makes an experiment participate in
-/// incremental re-runs.
-#[derive(Clone, Copy)]
-pub struct Runner<'a> {
-    cache: Option<&'a PointCache>,
-}
-
-impl Runner<'static> {
-    /// A runner that always simulates.
-    pub fn direct() -> Self {
-        Runner { cache: None }
-    }
-}
-
-impl<'a> Runner<'a> {
-    /// A runner that consults (and fills) `cache`.
-    pub fn cached(cache: &'a PointCache) -> Self {
-        Runner { cache: Some(cache) }
-    }
-
-    /// The cache behind this runner, if any.
-    pub fn point_cache(&self) -> Option<&'a PointCache> {
-        self.cache
-    }
-
-    /// Statistics for one `(design, workload, run-config)` point.
-    pub fn stats(&self, design: &DesignSpec, workload: &Workload, rc: &RunConfig) -> SimStats {
-        match self.cache {
-            None => run_one(workload, *design, rc),
-            Some(cache) => {
-                let key = cache.key(&design.to_string(), workload, rc);
-                cache
-                    .get_or_compute(&key, &[], || (run_one(workload, *design, rc), Vec::new()))
-                    .0
-                    .stats
-            }
-        }
-    }
-
-    /// Like [`Runner::stats`], additionally collecting named `u64`
-    /// extras that live on the finished LSQ rather than in [`SimStats`]
-    /// (e.g. occupancy quantiles). `probe` runs only on cache misses;
-    /// hits return the stored extras — `expected` lists the names that
-    /// must be present for a hit to count (see
-    /// [`PointCache::get_or_compute`]).
-    pub fn stats_with_extras(
-        &self,
-        design: &DesignSpec,
-        workload: &Workload,
-        rc: &RunConfig,
-        expected: &[&str],
-        probe: &ExtrasProbe<'_>,
-    ) -> (SimStats, Vec<(String, u64)>) {
-        let compute = || {
-            let mut extras = Vec::new();
-            let report = SimSession::new(*design, workload)
-                .run_config(*rc)
-                .on_finish(|_, lsq| extras = probe(lsq))
-                .run();
-            let stats = report
-                .runs
-                .into_iter()
-                .next()
-                .expect("one design ran")
-                .stats;
-            (stats, extras)
-        };
-        match self.cache {
-            None => compute(),
-            Some(cache) => {
-                let key = cache.key(&design.to_string(), workload, rc);
-                let (point, _) = cache.get_or_compute(&key, expected, compute);
-                (point.stats, point.extras)
-            }
-        }
-    }
-}
-
-/// Order-preserving parallel map over `items` using all available cores.
+/// Simulate one `(design, workload, run-config, core-config)` point —
+/// through `cache` when given — and return it with whether it was a
+/// cache hit.
 ///
-/// Work is distributed through a lock-free queue so long-running items
-/// (e.g. `ammp` with its deadlock replays) do not serialise the suite.
-pub fn parallel_map<T: Sync, R: Send, F: Fn(&T) -> R + Sync>(items: &[T], f: F) -> Vec<R> {
-    parallel_map_with(0, items, f)
+/// `probe` reads named `u64` extras off the finished LSQ (statistics
+/// that live on the design rather than in [`SimStats`], e.g. occupancy
+/// quantiles); it runs only when the point is simulated. `extras` names
+/// the ones a cache hit must carry, with the guard and merge semantics
+/// of [`PointCache::get_or_compute`]. Uncached, the point's `wall_nanos`
+/// is this run's compute time; on a hit it is the recorded one.
+pub fn run_point(
+    cache: Option<&PointCache>,
+    design: impl IntoDesign,
+    workload: &Workload,
+    rc: &RunConfig,
+    cfg: SimConfig,
+    extras: &[&str],
+    probe: impl Fn(&dyn LoadStoreQueue) -> Vec<(String, u64)>,
+) -> (StoredPoint, bool) {
+    let design = design.into_design();
+    let compute = || {
+        let mut extras = Vec::new();
+        let mut report = SimSession::new(&design, workload)
+            .config(cfg)
+            .run_config(*rc)
+            .on_finish(|_, lsq| extras = probe(lsq))
+            .run();
+        (report.runs.swap_remove(0).stats, extras)
+    };
+    match cache {
+        None => {
+            let t0 = Instant::now();
+            let (stats, extras) = compute();
+            let point = StoredPoint {
+                stats,
+                wall_nanos: t0.elapsed().as_nanos() as u64,
+                extras,
+            };
+            (point, false)
+        }
+        Some(cache) => {
+            let key = cache.key(&design.id(), workload, rc, &cfg);
+            cache.get_or_compute(&key, extras, compute)
+        }
+    }
 }
 
 /// Result slots written lock-free: each worker owns the indices it pops
@@ -422,10 +293,12 @@ struct ResultSlots<R> {
 // joins every worker.
 unsafe impl<R: Send> Sync for ResultSlots<R> {}
 
-/// [`parallel_map`] with an explicit worker count (`0` = all available
-/// cores). The pool never exceeds the item count; oversubscribed calls
-/// (`threads > items`) degrade gracefully — the sweep engine exposes this
-/// as `--jobs`.
+/// Order-preserving parallel map over `items` on `threads` workers (`0`
+/// = all available cores). Work is distributed through a lock-free
+/// queue so long-running items (e.g. `ammp` with its deadlock replays)
+/// do not serialise the suite. The pool never exceeds the item count;
+/// oversubscribed calls (`threads > items`) degrade gracefully — the
+/// sweep engine exposes this as `--jobs`.
 ///
 /// Collection is lock-free: results land in per-index slots, so a long
 /// sweep never serialises its workers on a results lock.
@@ -483,24 +356,40 @@ pub fn parallel_map_with<T: Sync, R: Send, F: Fn(&T) -> R + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::paired;
+    use samie_lsq::DesignSpec;
     use spec_traces::by_name;
+
+    /// Plain statistics for one point through [`run_point`].
+    fn point_stats(
+        cache: Option<&PointCache>,
+        design: DesignSpec,
+        w: &Workload,
+        rc: &RunConfig,
+    ) -> SimStats {
+        run_point(cache, design, w, rc, SimConfig::paper(), &[], |_| {
+            Vec::new()
+        })
+        .0
+        .stats
+    }
 
     #[test]
     fn parallel_map_preserves_order() {
         let items: Vec<u64> = (0..100).collect();
-        let out = parallel_map(&items, |&x| x * 2);
+        let out = parallel_map_with(0, &items, |&x| x * 2);
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn parallel_map_empty_slice() {
-        assert!(parallel_map::<u64, u64, _>(&[], |&x| x).is_empty());
+        assert!(parallel_map_with::<u64, u64, _>(0, &[], |&x| x).is_empty());
         assert!(parallel_map_with::<u64, u64, _>(8, &[], |&x| x).is_empty());
     }
 
     #[test]
     fn parallel_map_single_item() {
-        assert_eq!(parallel_map(&[7u64], |&x| x + 1), vec![8]);
+        assert_eq!(parallel_map_with(0, &[7u64], |&x| x + 1), vec![8]);
         assert_eq!(parallel_map_with(16, &[7u64], |&x| x + 1), vec![8]);
     }
 
@@ -537,7 +426,18 @@ mod tests {
             warmup: 5_000,
             seed: 1,
         };
-        let pr = run_paired(by_name("gzip").unwrap(), &rc);
+        let mut runs = SimSession::new(DesignSpec::conventional_paper(), by_name("gzip").unwrap())
+            .design(DesignSpec::samie_paper())
+            .run_config(rc)
+            .run()
+            .runs
+            .into_iter()
+            .map(|r| r.stats);
+        let pr = PairedRun {
+            name: "gzip".into(),
+            conv: runs.next().unwrap(),
+            samie: runs.next().unwrap(),
+        };
         assert!(pr.conv.ipc() > 0.1);
         assert!(pr.samie.ipc() > 0.1);
         assert!(pr.ipc_loss().abs() < 0.5);
@@ -557,7 +457,11 @@ mod tests {
         let spec = by_name("gzip").unwrap();
         for design in ["conv:64", "samie", "unbounded", "oracle"] {
             let d: DesignSpec = design.parse().unwrap();
-            let stats = run_one(spec, d, &rc);
+            let stats = SimSession::new(d, spec)
+                .run_config(rc)
+                .run()
+                .stats()
+                .clone();
             assert!(stats.ipc() > 0.1, "{design}");
         }
     }
@@ -570,12 +474,20 @@ mod tests {
             seed: 5,
         };
         let spec = by_name("gzip").unwrap();
-        let joint = run_paired(spec, &rc);
-        let split = run_paired_suite_with(&[*spec], &rc, &Runner::direct());
+        // The paired grid runs each design as its own sweep point; a
+        // two-design session runs both on one shared trace.
+        let joint = SimSession::new(DesignSpec::conventional_paper(), spec)
+            .design(DesignSpec::samie_paper())
+            .run_config(rc)
+            .run();
+        let split = paired::run_with(&rc, None, [Workload::from(spec)]);
         assert_eq!(split.len(), 1);
-        assert_eq!(split[0].name, joint.name);
-        assert_eq!(split[0].conv, joint.conv, "identical traces per design");
-        assert_eq!(split[0].samie, joint.samie);
+        assert_eq!(split[0].name, joint.workload);
+        assert_eq!(
+            split[0].conv, joint.runs[0].stats,
+            "identical traces per design"
+        );
+        assert_eq!(split[0].samie, joint.runs[1].stats);
     }
 
     #[test]
@@ -591,16 +503,16 @@ mod tests {
         let w = spec_traces::find_workload("gzip").unwrap();
         let design = DesignSpec::samie_paper();
 
-        let direct = Runner::direct().stats(&design, &w, &rc);
-        let cold = Runner::cached(&cache).stats(&design, &w, &rc);
-        let warm = Runner::cached(&cache).stats(&design, &w, &rc);
+        let direct = point_stats(None, design, &w, &rc);
+        let cold = point_stats(Some(&cache), design, &w, &rc);
+        let warm = point_stats(Some(&cache), design, &w, &rc);
         assert_eq!(direct, cold, "cold cached run matches direct");
         assert_eq!(cold, warm, "warm hit is bit-identical to recompute");
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert!(cache.saved() > Duration::ZERO);
 
         // A different seed is a different point.
-        let other = Runner::cached(&cache).stats(&design, &w, &RunConfig { seed: 4, ..rc });
+        let other = point_stats(Some(&cache), design, &w, &RunConfig { seed: 4, ..rc });
         assert_ne!(warm, other);
         assert_eq!(cache.misses(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -618,10 +530,22 @@ mod tests {
         };
         let w = spec_traces::find_workload("gzip").unwrap();
         let design = DesignSpec::samie_paper();
-        let runner = Runner::cached(&cache);
+        type Probe<'p> = &'p dyn Fn(&dyn LoadStoreQueue) -> Vec<(String, u64)>;
+        let with_extras = |expected: &[&str], probe: Probe<'_>| {
+            let (point, _) = run_point(
+                Some(&cache),
+                design,
+                &w,
+                &rc,
+                SimConfig::paper(),
+                expected,
+                probe,
+            );
+            (point.stats, point.extras)
+        };
 
         // A plain run caches the point without extras...
-        let plain = runner.stats(&design, &w, &rc);
+        let plain = point_stats(Some(&cache), design, &w, &rc);
         // ...so an extras-requiring call must not be served the bare hit.
         let probe = |lsq: &dyn LoadStoreQueue| {
             let samie = lsq
@@ -633,29 +557,29 @@ mod tests {
                 samie.shared_entries_for_quantile(0.99) as u64,
             )]
         };
-        let (stats, extras) = runner.stats_with_extras(&design, &w, &rc, &["p99_shared"], &probe);
+        let (stats, extras) = with_extras(&["p99_shared"], &probe);
         assert_eq!(stats, plain, "same point, same statistics");
         assert_eq!(extras.len(), 1, "probe ran despite the stale hit");
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
 
         // Now the enriched entry serves both call shapes as hits.
-        let (_, again) = runner.stats_with_extras(&design, &w, &rc, &["p99_shared"], &probe);
+        let (_, again) = with_extras(&["p99_shared"], &probe);
         assert_eq!(again, extras);
-        let _ = runner.stats(&design, &w, &rc);
+        let _ = point_stats(Some(&cache), design, &w, &rc);
         assert_eq!((cache.hits(), cache.misses()), (2, 2));
 
         // A second experiment caching a *different* extra on the same
         // point must not evict p99_shared: the refresh merges extras.
         let probe_b = |_: &dyn LoadStoreQueue| vec![("p50_shared".to_string(), 1)];
-        let (_, merged) = runner.stats_with_extras(&design, &w, &rc, &["p50_shared"], &probe_b);
+        let (_, merged) = with_extras(&["p50_shared"], &probe_b);
         assert!(merged.iter().any(|(n, _)| n == "p50_shared"));
         assert!(
             merged.iter().any(|(n, _)| n == "p99_shared"),
             "stored extras survive the refresh"
         );
         // Both call shapes now hit the one enriched entry.
-        let (_, a) = runner.stats_with_extras(&design, &w, &rc, &["p99_shared"], &probe);
-        let (_, b) = runner.stats_with_extras(&design, &w, &rc, &["p50_shared"], &probe_b);
+        let (_, a) = with_extras(&["p99_shared"], &probe);
+        let (_, b) = with_extras(&["p50_shared"], &probe_b);
         assert_eq!(a, b, "one entry serves both experiments");
         assert_eq!(cache.misses(), 3, "no ping-pong recomputation");
         std::fs::remove_dir_all(&dir).unwrap();

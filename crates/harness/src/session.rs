@@ -1,5 +1,5 @@
-//! [`SimSession`] — the builder every runner, sweep, example and bench
-//! goes through to simulate designs.
+//! [`SimSession`] — the builder every one-off run, sweep point and
+//! example goes through to simulate designs.
 //!
 //! A session pairs one workload with any number of [`DesignSpec`]s (or
 //! custom [`samie_lsq::LsqFactory`] handles from a
@@ -63,7 +63,7 @@ use std::sync::Arc;
 
 use ooo_sim::{SimConfig, SimStats, Simulator};
 use samie_lsq::{DesignHandle, DesignSpec, LoadStoreQueue};
-use spec_traces::{AdversarialSpec, Workload, WorkloadSpec};
+use spec_traces::{Workload, WorkloadSpec};
 use trace_isa::strc::TraceWriter;
 
 use crate::runner::RunConfig;
@@ -81,12 +81,6 @@ impl IntoDesign for DesignSpec {
     }
 }
 
-impl IntoDesign for &DesignSpec {
-    fn into_design(self) -> DesignHandle {
-        Arc::new(*self)
-    }
-}
-
 impl IntoDesign for DesignHandle {
     fn into_design(self) -> DesignHandle {
         self
@@ -99,9 +93,9 @@ impl IntoDesign for &DesignHandle {
     }
 }
 
-/// Anything a session accepts as a workload: a [`Workload`] handle, a
-/// calibrated [`WorkloadSpec`] (by reference or owned), or an adversarial
-/// generator spec.
+/// Anything a session accepts as a workload: a [`Workload`] handle (any
+/// catalog entry, replay or real program) or a calibrated
+/// [`WorkloadSpec`].
 pub trait IntoWorkload {
     /// Convert into the workload handle the session stores.
     fn into_workload(self) -> Workload;
@@ -124,24 +118,6 @@ impl IntoWorkload for &WorkloadSpec {
         // WorkloadSpec is Copy; owning the copy frees callers from
         // 'static borrows (suite slices, locally-built specs).
         Workload::from(*self)
-    }
-}
-
-impl IntoWorkload for &&WorkloadSpec {
-    fn into_workload(self) -> Workload {
-        Workload::from(**self)
-    }
-}
-
-impl IntoWorkload for WorkloadSpec {
-    fn into_workload(self) -> Workload {
-        self.into()
-    }
-}
-
-impl IntoWorkload for &'static AdversarialSpec {
-    fn into_workload(self) -> Workload {
-        Workload::Adversarial(self)
     }
 }
 

@@ -27,17 +27,15 @@
 
 use std::fmt::{self, Write as _};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use energy_model::price_lsq;
-use ooo_sim::SimConfig;
+use ooo_sim::{SimConfig, SimStats};
 use samie_lsq::{DesignHandle, DesignSpec};
 use spec_traces::{all_workloads, find_workload, Workload};
 
-use crate::experiment::ExperimentSpec;
-use crate::runner::{parallel_map_with, run_one_configured, PointCache, RunConfig};
+use crate::runner::{parallel_map_with, run_point, PointCache, RunConfig};
 use crate::table::{fmt, Table};
 
 /// A declarative sweep grid: the cross product of designs × workloads ×
@@ -68,22 +66,21 @@ pub fn designs_from_specs(specs: impl IntoIterator<Item = DesignSpec>) -> Vec<De
 }
 
 impl SweepGrid {
-    /// The default `bench` grid: the paper trio on one integer, one
-    /// floating-point and the pathological benchmark — small enough for a
-    /// CI smoke run, diverse enough to exercise every hot path.
-    /// (Canonically defined by [`ExperimentSpec::bench_default`].)
-    pub fn bench_default(rc: RunConfig) -> Self {
-        ExperimentSpec::bench_default(rc)
-            .to_grid()
-            .expect("the built-in bench grid is valid")
-    }
-
-    /// The default `sweep` grid: a geometry ladder over the full suite.
-    /// (Canonically defined by [`ExperimentSpec::sweep_default`].)
-    pub fn sweep_default(rc: RunConfig) -> Self {
-        ExperimentSpec::sweep_default(rc)
-            .to_grid()
-            .expect("the built-in sweep grid is valid")
+    /// A one-seed grid (`rc.seed`) under the paper core configuration —
+    /// the shape of every book batch, keyed exactly like a `sweep` of the
+    /// same designs and workloads.
+    pub fn paper(
+        designs: impl IntoIterator<Item = DesignSpec>,
+        benchmarks: Vec<Workload>,
+        rc: RunConfig,
+    ) -> Self {
+        SweepGrid {
+            designs: designs_from_specs(designs),
+            benchmarks,
+            seeds: vec![rc.seed],
+            rc,
+            cfg: SimConfig::paper(),
+        }
     }
 
     /// Parse a comma-separated workload list. `all` expands to the full
@@ -132,19 +129,13 @@ pub struct SweepPoint {
     pub bench: String,
     /// Trace seed.
     pub seed: u64,
-    /// Committed IPC over the measured interval.
-    pub ipc: f64,
-    /// Measured cycles.
-    pub cycles: u64,
     /// Instructions simulated including warm-up (the throughput
     /// denominator).
     pub instructions: u64,
-    /// §3.3 deadlock-avoidance flushes.
-    pub deadlock_flushes: u64,
-    /// Flushes because an address fit nowhere.
-    pub nospace_flushes: u64,
-    /// LSQ dynamic energy over the measured interval (nJ).
-    pub lsq_energy_nj: f64,
+    /// Statistics of the measured interval. Every derived column (IPC,
+    /// energy) is a pure function of these integer counters, so a point
+    /// served from the store reports byte-identically to a fresh one.
+    pub stats: SimStats,
     /// Host wall-clock time of the run.
     pub wall: Duration,
 }
@@ -157,6 +148,31 @@ pub struct SweepPoint {
 pub const MIN_TRUSTED_WALL: Duration = Duration::from_millis(1);
 
 impl SweepPoint {
+    /// Committed IPC over the measured interval.
+    pub fn ipc(&self) -> f64 {
+        self.stats.ipc()
+    }
+
+    /// Measured cycles.
+    pub fn cycles(&self) -> u64 {
+        self.stats.cycles
+    }
+
+    /// §3.3 deadlock-avoidance flushes.
+    pub fn deadlock_flushes(&self) -> u64 {
+        self.stats.deadlock_flushes
+    }
+
+    /// Flushes because an address fit nowhere.
+    pub fn nospace_flushes(&self) -> u64 {
+        self.stats.nospace_flushes
+    }
+
+    /// LSQ dynamic energy over the measured interval (nJ).
+    pub fn lsq_energy_nj(&self) -> f64 {
+        price_lsq(&self.stats.lsq).total()
+    }
+
     /// Simulated instructions per host second. A wall time below
     /// [`MIN_TRUSTED_WALL`] is clamped up to it — a zero or sub-ms
     /// measurement reports a bounded throughput, never an absurd one.
@@ -165,32 +181,6 @@ impl SweepPoint {
             return 0.0;
         }
         self.instructions as f64 / self.wall.max(MIN_TRUSTED_WALL).as_secs_f64()
-    }
-}
-
-/// Build a report row from a point's statistics. Every derived field
-/// (IPC, energy) is a pure function of the integer counters, so a row
-/// rebuilt from a cached [`SimStats`](ooo_sim::SimStats) is byte-identical
-/// to the freshly-simulated one.
-fn point_from_stats(
-    design: &DesignHandle,
-    bench: &Workload,
-    seed: u64,
-    rc: &RunConfig,
-    stats: &ooo_sim::SimStats,
-    wall: Duration,
-) -> SweepPoint {
-    SweepPoint {
-        design: design.id(),
-        bench: bench.name().to_string(),
-        seed,
-        ipc: stats.ipc(),
-        cycles: stats.cycles,
-        instructions: rc.warmup + stats.committed,
-        deadlock_flushes: stats.deadlock_flushes,
-        nospace_flushes: stats.nospace_flushes,
-        lsq_energy_nj: price_lsq(&stats.lsq).total(),
-        wall,
     }
 }
 
@@ -274,43 +264,35 @@ pub fn run_sweep(grid: &SweepGrid, opts: &SweepOptions<'_>) -> SweepReport {
         .filter(|(i, _)| opts.shard.is_none_or(|s| s.owns(*i)))
         .map(|(_, p)| p)
         .collect();
-    let (hits, saved) = (AtomicU64::new(0), AtomicU64::new(0));
-    let cfg_canonical = grid.cfg.canonical();
     let t0 = Instant::now();
     let results = parallel_map_with(opts.jobs, &points, |(design, bench, seed)| {
         let rc = RunConfig {
             seed: *seed,
             ..grid.rc
         };
-        let (stats, wall) = match opts.cache {
-            None => {
-                let t0 = Instant::now();
-                let stats = run_one_configured(bench, design, &rc, grid.cfg);
-                (stats, t0.elapsed())
-            }
-            Some(cache) => {
-                let key = cache.key_with_config(&design.id(), bench, &rc, &cfg_canonical);
-                let (point, hit) = cache.get_or_compute(&key, &[], || {
-                    (run_one_configured(bench, design, &rc, grid.cfg), Vec::new())
-                });
-                if hit {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                    saved.fetch_add(point.wall_nanos, Ordering::Relaxed);
-                }
-                (point.stats, Duration::from_nanos(point.wall_nanos))
-            }
+        let (point, hit) = run_point(opts.cache, design, bench, &rc, grid.cfg, &[], |_| {
+            Vec::new()
+        });
+        let point = SweepPoint {
+            design: design.id(),
+            bench: bench.name().to_string(),
+            seed: *seed,
+            instructions: rc.warmup + point.stats.committed,
+            stats: point.stats,
+            wall: Duration::from_nanos(point.wall_nanos),
         };
-        point_from_stats(design, bench, *seed, &rc, &stats, wall)
+        (point, hit)
     });
-    let hits = hits.into_inner() as usize;
+    let wall = t0.elapsed();
+    let hit_walls: Vec<Duration> = results.iter().filter(|r| r.1).map(|r| r.0.wall).collect();
     SweepReport {
         mode: "sweep",
         rc: grid.rc,
-        wall: t0.elapsed(),
-        hits,
-        misses: results.len() - hits,
-        saved: Duration::from_nanos(saved.into_inner()),
-        points: results,
+        wall,
+        hits: hit_walls.len(),
+        misses: results.len() - hit_walls.len(),
+        saved: hit_walls.into_iter().sum(),
+        points: results.into_iter().map(|r| r.0).collect(),
     }
 }
 
@@ -397,12 +379,12 @@ impl SweepReport {
                 p.design.clone(),
                 p.bench.clone(),
                 p.seed.to_string(),
-                fmt(p.ipc, 4),
-                p.cycles.to_string(),
+                fmt(p.ipc(), 4),
+                p.cycles().to_string(),
                 p.instructions.to_string(),
-                p.deadlock_flushes.to_string(),
-                p.nospace_flushes.to_string(),
-                fmt(p.lsq_energy_nj, 1),
+                p.deadlock_flushes().to_string(),
+                p.nospace_flushes().to_string(),
+                fmt(p.lsq_energy_nj(), 1),
                 fmt(p.wall.as_secs_f64() * 1e3, 1),
                 fmt(p.sim_ips() / 1e6, 3),
             ]);
@@ -460,12 +442,12 @@ impl SweepReport {
                 p.design,
                 p.bench,
                 p.seed,
-                p.ipc,
-                p.cycles,
+                p.ipc(),
+                p.cycles(),
                 p.instructions,
-                p.deadlock_flushes,
-                p.nospace_flushes,
-                p.lsq_energy_nj,
+                p.deadlock_flushes(),
+                p.nospace_flushes(),
+                p.lsq_energy_nj(),
                 ms(p.wall),
                 if timing { p.sim_ips() } else { 0.0 },
             );
@@ -510,18 +492,24 @@ impl SweepReport {
     }
 }
 
-/// Extract `"total_sim_ips": N` from a `BENCH_sweep.json` (hand-rolled —
-/// the workspace has no JSON dependency, and the schema is ours).
+/// Every number following `"key":` in a `BENCH_sweep.json`, in order
+/// (hand-rolled — the workspace has no JSON dependency, and the schema
+/// is ours). Unparseable values are skipped.
+fn json_numbers<'j>(json: &'j str, key: &'j str) -> impl Iterator<Item = f64> + 'j {
+    json.match_indices(key).filter_map(move |(at, _)| {
+        let rest = json[at + key.len()..].trim_start();
+        let end = rest
+            .find(|c: char| {
+                !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E')
+            })
+            .unwrap_or(rest.len());
+        rest[..end].parse().ok()
+    })
+}
+
+/// Extract `"total_sim_ips": N` from a `BENCH_sweep.json`.
 pub fn baseline_total_sim_ips(json: &str) -> Option<f64> {
-    let key = "\"total_sim_ips\":";
-    let at = json.find(key)? + key.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E')
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    json_numbers(json, "\"total_sim_ips\":").next()
 }
 
 /// Extract every per-point `"sim_ips": N` from a `BENCH_sweep.json` and
@@ -531,24 +519,9 @@ pub fn baseline_total_sim_ips(json: &str) -> Option<f64> {
 pub fn baseline_worst_point_sim_ips(json: &str) -> Option<f64> {
     // The totals block uses the distinct key `total_sim_ips`, so a plain
     // scan over `"sim_ips":` sees exactly the per-point values.
-    let key = "\"sim_ips\":";
-    let mut worst: Option<f64> = None;
-    let mut rest = json;
-    while let Some(at) = rest.find(key) {
-        rest = &rest[at + key.len()..];
-        let trimmed = rest.trim_start();
-        let end = trimmed
-            .find(|c: char| {
-                !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E')
-            })
-            .unwrap_or(trimmed.len());
-        if let Ok(v) = trimmed[..end].parse::<f64>() {
-            if v > 0.0 && worst.is_none_or(|w| v < w) {
-                worst = Some(v);
-            }
-        }
-    }
-    worst
+    json_numbers(json, "\"sim_ips\":")
+        .filter(|&v| v > 0.0)
+        .reduce(f64::min)
 }
 
 /// Compare a fresh report against a checked-in baseline: `Ok` unless
@@ -668,13 +641,11 @@ mod tests {
             warmup: 2_000,
             seed: 7,
         };
-        let grid = SweepGrid {
-            designs: designs_from_specs(DesignSpec::paper_trio()),
-            benchmarks: SweepGrid::parse_benchmarks("gzip").unwrap(),
-            seeds: vec![7],
+        let grid = SweepGrid::paper(
+            DesignSpec::paper_trio(),
+            SweepGrid::parse_benchmarks("gzip").unwrap(),
             rc,
-            cfg: SimConfig::paper(),
-        };
+        );
         let report = run_sweep(
             &grid,
             &SweepOptions {
@@ -684,9 +655,9 @@ mod tests {
         );
         assert_eq!(report.points.len(), 3);
         for p in &report.points {
-            assert!(p.ipc > 0.1, "{}: ipc {}", p.design, p.ipc);
+            assert!(p.ipc() > 0.1, "{}: ipc {}", p.design, p.ipc());
             assert_eq!(p.instructions, 10_000);
-            assert!(p.lsq_energy_nj > 0.0);
+            assert!(p.lsq_energy_nj() > 0.0);
         }
         assert!(report.total_sim_ips() > 0.0);
         let json = report.to_json();
@@ -733,7 +704,7 @@ mod tests {
         );
         assert_eq!(report.points[0].design, "tiny");
         assert!(
-            report.points[0].ipc <= report.points[1].ipc + 1e-9,
+            report.points[0].ipc() <= report.points[1].ipc() + 1e-9,
             "an 8-entry LSQ cannot beat the 128-entry baseline"
         );
     }
@@ -748,13 +719,11 @@ mod tests {
             warmup: 1_000,
             seed: 9,
         };
-        let grid = SweepGrid {
-            designs: designs_from_specs(DesignSpec::paper_trio()),
-            benchmarks: SweepGrid::parse_benchmarks("gzip,swim").unwrap(),
-            seeds: vec![9],
+        let grid = SweepGrid::paper(
+            DesignSpec::paper_trio(),
+            SweepGrid::parse_benchmarks("gzip,swim").unwrap(),
             rc,
-            cfg: SimConfig::paper(),
-        };
+        );
         let plain = run_sweep(
             &grid,
             &SweepOptions {
@@ -794,12 +763,8 @@ mod tests {
             design: design.to_string(),
             bench: "gzip".to_string(),
             seed: 1,
-            ipc: 1.0,
-            cycles: instructions,
             instructions,
-            deadlock_flushes: 0,
-            nospace_flushes: 0,
-            lsq_energy_nj: 1.0,
+            stats: SimStats::default(),
             wall,
         }
     }
@@ -876,13 +841,11 @@ mod tests {
             warmup: 1_000,
             seed: 7,
         };
-        let grid = SweepGrid {
-            designs: designs_from_specs([DesignSpec::Conventional { entries: 32 }]),
-            benchmarks: SweepGrid::parse_benchmarks("gzip").unwrap(),
-            seeds: vec![7],
+        let grid = SweepGrid::paper(
+            [DesignSpec::Conventional { entries: 32 }],
+            SweepGrid::parse_benchmarks("gzip").unwrap(),
             rc,
-            cfg: SimConfig::paper(),
-        };
+        );
         let report = run_sweep(
             &grid,
             &SweepOptions {

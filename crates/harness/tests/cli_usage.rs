@@ -52,3 +52,13 @@ fn flag_without_its_value_is_a_usage_error() {
     assert_usage_error(&["sweep", "--jobs"], "--jobs");
     assert_usage_error(&["sweep", "--out", "--quick"], "--out");
 }
+
+#[test]
+fn bad_design_or_workload_is_a_usage_error_not_a_panic() {
+    assert_usage_error(&["record", "--designs", "bogus"], "--designs");
+    assert_usage_error(&["record", "--bench", "nosuch"], "--bench");
+    assert_usage_error(
+        &["rv", "run", "rv:sieve", "--designs", "bogus"],
+        "--designs",
+    );
+}

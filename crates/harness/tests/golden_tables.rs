@@ -4,8 +4,8 @@
 //! CACTI-lite model and the paper's published constants — no simulation —
 //! so their CSV output is byte-stable and can be pinned exactly. A harness
 //! regression (renamed column, reordered row, changed rounding, drifted
-//! model constant) fails here in milliseconds, without running criterion
-//! or any timing simulation.
+//! model constant) fails here in milliseconds, without any timing
+//! simulation.
 //!
 //! The expected outputs live as CSV files under `tests/golden/` (the
 //! checked-in goldens; regenerated `results/` output is never

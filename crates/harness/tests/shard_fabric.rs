@@ -77,7 +77,7 @@ fn assert_no_corruption(cache: &PointCache, grid: &SweepGrid) -> usize {
     let mut present = 0;
     for (design, bench, seed) in grid.expand() {
         let rc = RunConfig { seed, ..grid.rc };
-        let key = cache.key(&design.id(), &bench, &rc);
+        let key = cache.key(&design.id(), &bench, &rc, &grid.cfg);
         match cache.store().get(&key) {
             Ok(Some(_)) => present += 1,
             Ok(None) => {}

@@ -3,18 +3,18 @@
 //! 64×2×8 + 8 configuration, and report IPC / deadlocks / energy for each
 //! point — the study a designer would run before committing to Table 3.
 //!
-//! Every point is a [`DesignSpec`]; the sweep is a `parallel_map` of
-//! [`run_one`] calls, exactly like the `samie-exp sweep` engine.
+//! Every point is a [`DesignSpec`]; the points run as one [`run_sweep`]
+//! grid, exactly like `samie-exp sweep`.
 //!
 //! ```sh
 //! cargo run --release --example design_space [bench] [instrs]
 //! ```
 
-use exp_harness::parallel_map;
-use exp_harness::runner::{run_one, RunConfig};
+use exp_harness::runner::RunConfig;
 use exp_harness::session::SimSession;
+use exp_harness::sweep::{run_sweep, SweepGrid, SweepOptions};
 use samie_lsq::{DesignSpec, FilteredLsq, SamieConfig};
-use spec_traces::by_name;
+use spec_traces::{by_name, Workload};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -64,15 +64,19 @@ fn main() {
     }
 
     eprintln!("sweeping {} configurations on `{bench}`...", configs.len());
-    let results = parallel_map(&configs, |(label, design)| {
-        (label.clone(), run_one(spec, design, &rc))
-    });
+    let grid = SweepGrid::paper(
+        configs.iter().map(|(_, design)| *design),
+        vec![Workload::from(spec)],
+        rc,
+    );
+    let report = run_sweep(&grid, &SweepOptions::default());
 
     println!(
         "{:>20} {:>7} {:>10} {:>10} {:>10} {:>9}",
         "configuration", "ipc", "deadlk/Mc", "wayknown%", "tlbskip%", "lsq_nJ"
     );
-    for (label, st) in &results {
+    for ((label, _), point) in configs.iter().zip(&report.points) {
+        let st = &point.stats;
         let wk = st.l1d.way_known_accesses as f64 / st.l1d.accesses() as f64;
         let skip = 1.0 - st.dtlb_accesses as f64 / st.l1d.accesses() as f64;
         println!(

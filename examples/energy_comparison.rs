@@ -7,8 +7,9 @@
 //! cargo run --release --example energy_comparison [instrs] [bench,bench,...]
 //! ```
 
-use exp_harness::runner::{run_paired_suite, RunConfig};
-use spec_traces::{all_benchmarks, WorkloadSpec};
+use exp_harness::experiments::paired;
+use exp_harness::runner::RunConfig;
+use spec_traces::{all_benchmarks, Workload, WorkloadSpec};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -35,7 +36,7 @@ fn main() {
         "running {} benchmark(s) x 2 LSQ designs x {instrs} instructions...",
         specs.len()
     );
-    let runs = run_paired_suite(&specs, &rc);
+    let runs = paired::run_with(&rc, None, specs.iter().copied().map(Workload::from));
 
     println!(
         "{:>9}  {:>9} {:>9} {:>7}   {:>9} {:>9} {:>7}   {:>8} {:>8} {:>7}",

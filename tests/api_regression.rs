@@ -1,5 +1,5 @@
 //! The redesign contract: every new entry point ([`DesignSpec::build`],
-//! [`SimSession`], `run_one`/`run_paired`, the sweep engine) produces
+//! [`SimSession`], the paired grid, the sweep engine) produces
 //! **bit-identical** [`SimStats`] to the pre-redesign path of driving
 //! [`Simulator`] by hand with directly-constructed LSQs.
 //!
@@ -7,12 +7,13 @@
 //! outside core unit tests that still may) — they are the fixed point the
 //! new API is measured against.
 
-use exp_harness::runner::{run_one, run_paired, RunConfig};
+use exp_harness::experiments::paired;
+use exp_harness::runner::RunConfig;
 use exp_harness::session::SimSession;
 use exp_harness::sweep::{designs_from_specs, run_sweep, SweepGrid, SweepOptions};
 use ooo_sim::{SimConfig, SimStats, Simulator};
 use samie_lsq::{ConventionalLsq, DesignSpec, FilteredLsq, LoadStoreQueue, SamieLsq, UnboundedLsq};
-use spec_traces::{by_name, SpecTrace};
+use spec_traces::{by_name, SpecTrace, Workload};
 
 const RC: RunConfig = RunConfig {
     instrs: 15_000,
@@ -33,31 +34,47 @@ fn manual<L: LoadStoreQueue>(bench: &str, lsq: L) -> SimStats {
 fn run_one_is_bit_identical_per_design_family() {
     let spec = by_name("gzip").unwrap();
     assert_eq!(
-        run_one(spec, DesignSpec::conventional_paper(), &RC),
+        SimSession::new(DesignSpec::conventional_paper(), spec)
+            .run_config(RC)
+            .run()
+            .stats()
+            .clone(),
         manual("gzip", ConventionalLsq::paper()),
         "conventional"
     );
     assert_eq!(
-        run_one(spec, DesignSpec::samie_paper(), &RC),
+        SimSession::new(DesignSpec::samie_paper(), spec)
+            .run_config(RC)
+            .run()
+            .stats()
+            .clone(),
         manual("gzip", SamieLsq::paper()),
         "samie"
     );
     assert_eq!(
-        run_one(spec, DesignSpec::filtered_paper(), &RC),
+        SimSession::new(DesignSpec::filtered_paper(), spec)
+            .run_config(RC)
+            .run()
+            .stats()
+            .clone(),
         manual("gzip", FilteredLsq::paper()),
         "filtered"
     );
     assert_eq!(
-        run_one(spec, DesignSpec::Unbounded, &RC),
+        SimSession::new(DesignSpec::Unbounded, spec)
+            .run_config(RC)
+            .run()
+            .stats()
+            .clone(),
         manual("gzip", UnboundedLsq::new()),
         "unbounded"
     );
 }
 
 #[test]
-fn run_paired_is_bit_identical_to_two_manual_runs() {
+fn paired_grid_is_bit_identical_to_two_manual_runs() {
     for bench in ["swim", "ammp"] {
-        let pr = run_paired(by_name(bench).unwrap(), &RC);
+        let pr = paired::run_with(&RC, None, [Workload::from(by_name(bench).unwrap())]).remove(0);
         assert_eq!(pr.conv, manual(bench, ConventionalLsq::paper()), "{bench}");
         assert_eq!(pr.samie, manual(bench, SamieLsq::paper()), "{bench}");
     }
@@ -104,12 +121,14 @@ fn sweep_points_are_bit_identical_to_manual_runs() {
             "conv:128" => manual(&p.bench, ConventionalLsq::paper()),
             _ => manual(&p.bench, SamieLsq::paper()),
         };
-        assert_eq!(p.ipc, stats.ipc(), "{} {}", p.design, p.bench);
-        assert_eq!(p.cycles, stats.cycles, "{} {}", p.design, p.bench);
+        assert_eq!(p.ipc(), stats.ipc(), "{} {}", p.design, p.bench);
+        assert_eq!(p.cycles(), stats.cycles, "{} {}", p.design, p.bench);
         assert_eq!(
-            p.deadlock_flushes, stats.deadlock_flushes,
+            p.deadlock_flushes(),
+            stats.deadlock_flushes,
             "{} {}",
-            p.design, p.bench
+            p.design,
+            p.bench
         );
         assert_eq!(
             p.instructions,
@@ -126,12 +145,20 @@ fn oracle_design_runs_whole_benchmarks_without_divergence() {
     // The oracle design self-checks every forwarding answer against the
     // executable specification; a full benchmark run is the strongest
     // pipeline-driven equivalence test in the suite.
-    let stats = run_one(by_name("vortex").unwrap(), DesignSpec::Oracle, &RC);
+    let stats = SimSession::new(DesignSpec::Oracle, by_name("vortex").unwrap())
+        .run_config(RC)
+        .run()
+        .stats()
+        .clone();
     assert!(stats.ipc() > 0.1);
     assert!(stats.forwarded_loads > 0, "forwarding paths were exercised");
     // And it answers exactly like the unbounded ideal design.
     assert_eq!(
         stats,
-        run_one(by_name("vortex").unwrap(), DesignSpec::Unbounded, &RC)
+        SimSession::new(DesignSpec::Unbounded, by_name("vortex").unwrap())
+            .run_config(RC)
+            .run()
+            .stats()
+            .clone()
     );
 }

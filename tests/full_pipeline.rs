@@ -1,7 +1,7 @@
 //! Integration tests: full pipeline × every workload × every LSQ design,
 //! all constructed through the [`DesignSpec`] front door.
 
-use exp_harness::runner::{run_one, RunConfig};
+use exp_harness::runner::RunConfig;
 use exp_harness::session::SimSession;
 use ooo_sim::{SimStats, Simulator};
 use samie_lsq::{DesignSpec, FilteredLsq};
@@ -15,7 +15,11 @@ const RC: RunConfig = RunConfig {
 };
 
 fn run(bench: &str, design: DesignSpec) -> SimStats {
-    run_one(by_name(bench).expect("benchmark"), design, &RC)
+    SimSession::new(design, by_name(bench).expect("benchmark"))
+        .run_config(RC)
+        .run()
+        .stats()
+        .clone()
 }
 
 #[test]

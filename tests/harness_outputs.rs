@@ -3,9 +3,9 @@
 //! (reduced) runs.
 
 use exp_harness::experiments::{fig3_4, paired, tab1_delay, tab456};
-use exp_harness::runner::{run_paired_suite, RunConfig};
+use exp_harness::runner::RunConfig;
 use exp_harness::Table;
-use spec_traces::by_name;
+use spec_traces::{all_benchmarks, by_name, Workload};
 
 fn quick_rc() -> RunConfig {
     RunConfig {
@@ -29,7 +29,7 @@ fn check_table(t: &Table, expected_rows: usize) {
 #[test]
 fn paired_figures_produce_complete_tables() {
     let specs = vec![by_name("gzip").unwrap(), by_name("swim").unwrap()];
-    let runs = run_paired_suite(&specs, &quick_rc());
+    let runs = paired::run_with(&quick_rc(), None, specs.into_iter().map(Workload::from));
     assert_eq!(runs.len(), 2);
 
     check_table(&paired::fig5_table(&runs), 3); // 2 benchmarks + SPEC row
@@ -46,7 +46,7 @@ fn paired_figures_produce_complete_tables() {
 #[test]
 fn savings_columns_are_finite_and_sane() {
     let specs = vec![by_name("gcc").unwrap()];
-    let runs = run_paired_suite(&specs, &quick_rc());
+    let runs = paired::run_with(&quick_rc(), None, specs.into_iter().map(Workload::from));
     let t = paired::fig7_table(&runs);
     // saving_% column parses and lies in (-100, 100).
     for row in &t.rows {
@@ -63,10 +63,10 @@ fn savings_columns_are_finite_and_sane() {
 #[test]
 fn sizing_study_tables() {
     // One benchmark, all three geometries, via the real runner path but a
-    // reduced manual job list (fig3_4::run over the full suite is the
+    // reduced manual job list (the sizing study over the full suite is the
     // harness's job; here we check the table shaping).
     let rc = quick_rc();
-    let runs: Vec<fig3_4::SizingRun> = fig3_4::run(&rc)
+    let runs: Vec<fig3_4::SizingRun> = fig3_4::run_with(&rc, None, all_benchmarks())
         .into_iter()
         .filter(|r| r.name == "gzip" || r.name == "facerec")
         .collect();

@@ -4,9 +4,11 @@
 //! EXPERIMENTS.md) — but tight enough to catch regressions that would
 //! invert a conclusion.
 
-use exp_harness::runner::{run_one, run_paired, RunConfig};
+use exp_harness::experiments::paired;
+use exp_harness::runner::RunConfig;
+use exp_harness::session::SimSession;
 use samie_lsq::{ArbConfig, DesignSpec, SamieConfig};
-use spec_traces::by_name;
+use spec_traces::{by_name, Workload};
 
 fn rc() -> RunConfig {
     RunConfig {
@@ -22,13 +24,22 @@ fn fig1_shape_banking_degrades_arb() {
     // collapses at 128x1; halving in-flight ops always hurts.
     let rc = rc();
     let spec = by_name("swim").unwrap();
-    let reference = run_one(spec, DesignSpec::Unbounded, &rc).ipc();
+    let reference = SimSession::new(DesignSpec::Unbounded, spec)
+        .run_config(rc)
+        .run()
+        .stats()
+        .ipc();
     let rel = |banks: usize, rows: usize, half: bool| {
         let mut cfg = ArbConfig::fig1(banks, rows);
         if half {
             cfg = cfg.half_inflight();
         }
-        run_one(spec, DesignSpec::Arb(cfg), &rc).ipc() / reference
+        SimSession::new(DesignSpec::Arb(cfg), spec)
+            .run_config(rc)
+            .run()
+            .stats()
+            .ipc()
+            / reference
     };
     let full_assoc = rel(1, 128, false);
     let banked = rel(64, 2, false);
@@ -54,7 +65,10 @@ fn fig3_shape_shared_pressure_ordering() {
     let mean_shared = |bench: &str, banks: usize, epb: usize| {
         let spec = by_name(bench).unwrap();
         let design = DesignSpec::Samie(SamieConfig::sizing_study(banks, epb));
-        run_one(spec, design, &rc)
+        SimSession::new(design, spec)
+            .run_config(rc)
+            .run()
+            .stats()
             .lsq
             .occupancy
             .mean_shared_entries()
@@ -74,7 +88,9 @@ fn fig3_shape_shared_pressure_ordering() {
 #[test]
 fn fig5_shape_ipc_loss_is_small_except_pathological() {
     let rc = rc();
-    let loss = |bench: &str| run_paired(by_name(bench).unwrap(), &rc).ipc_loss();
+    let loss = |bench: &str| {
+        paired::run_with(&rc, None, [Workload::from(by_name(bench).unwrap())])[0].ipc_loss()
+    };
     // Pathological programs lose noticeably...
     assert!(loss("ammp") > 0.02, "ammp loss {}", loss("ammp"));
     // ...ordinary programs do not...
@@ -93,7 +109,11 @@ fn fig5_shape_ipc_loss_is_small_except_pathological() {
 fn fig6_shape_ammp_dominates_deadlocks() {
     let rc = rc();
     let dl = |bench: &str| {
-        run_one(by_name(bench).unwrap(), DesignSpec::samie_paper(), &rc).deadlocks_per_mcycle()
+        SimSession::new(DesignSpec::samie_paper(), by_name(bench).unwrap())
+            .run_config(rc)
+            .run()
+            .stats()
+            .deadlocks_per_mcycle()
     };
     let ammp = dl("ammp");
     assert!(ammp > 50.0, "ammp must deadlock visibly, got {ammp}");
@@ -113,7 +133,7 @@ fn fig7_to_10_shape_energy_savings() {
     let mut dcache_savings = Vec::new();
     let mut dtlb_savings = Vec::new();
     for bench in ["gcc", "swim", "mcf", "gzip", "equake", "sixtrack"] {
-        let pr = run_paired(by_name(bench).unwrap(), &rc);
+        let pr = paired::run_with(&rc, None, [Workload::from(by_name(bench).unwrap())]).remove(0);
         let lsq = 1.0
             - energy_model::price_lsq(&pr.samie.lsq).total()
                 / energy_model::price_lsq(&pr.conv.lsq).total();
@@ -158,7 +178,7 @@ fn fig11_shape_integer_codes_are_samies_worst_area_case() {
     let rc = rc();
     let cfg = SamieConfig::paper();
     let ratio = |bench: &str| {
-        let pr = run_paired(by_name(bench).unwrap(), &rc);
+        let pr = paired::run_with(&rc, None, [Workload::from(by_name(bench).unwrap())]).remove(0);
         energy_model::active_area(&pr.samie.lsq, &cfg).total()
             / energy_model::active_area(&pr.conv.lsq, &cfg).total()
     };

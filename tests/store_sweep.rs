@@ -7,9 +7,8 @@ use std::time::Duration;
 
 use exp_harness::runner::{PointCache, RunConfig};
 use exp_harness::sweep::{run_sweep, SweepGrid, SweepOptions};
-use exp_harness::{designs_from_specs, DesignSpec};
+use exp_harness::DesignSpec;
 use exp_store::StoreError;
-use ooo_sim::SimConfig;
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("samie-store-sweep-{tag}"));
@@ -18,13 +17,11 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 }
 
 fn grid(benchmarks: &str, rc: RunConfig) -> SweepGrid {
-    SweepGrid {
-        designs: designs_from_specs(DesignSpec::paper_trio()),
-        benchmarks: SweepGrid::parse_benchmarks(benchmarks).unwrap(),
-        seeds: vec![rc.seed],
+    SweepGrid::paper(
+        DesignSpec::paper_trio(),
+        SweepGrid::parse_benchmarks(benchmarks).unwrap(),
         rc,
-        cfg: SimConfig::paper(),
-    }
+    )
 }
 
 fn rc() -> RunConfig {
@@ -118,7 +115,7 @@ fn corrupt_entry_is_rejected_loudly_and_recomputed() {
 
     // The store layer reports it as corruption (not a miss, not a hit)...
     let design = &g.designs[0];
-    let probe_key = cache.key(&design.id(), &g.benchmarks[0], &g.rc);
+    let probe_key = cache.key(&design.id(), &g.benchmarks[0], &g.rc, &g.cfg);
     let direct = cache.store().get(&probe_key);
     // (whichever entry we hit, at least the vandalised one must scream on
     // its own lookup — probe all three keys)
@@ -127,7 +124,7 @@ fn corrupt_entry_is_rejected_loudly_and_recomputed() {
         if matches!(
             cache
                 .store()
-                .get(&cache.key(&d.id(), &g.benchmarks[0], &g.rc)),
+                .get(&cache.key(&d.id(), &g.benchmarks[0], &g.rc, &g.cfg)),
             Err(StoreError::Corrupt { .. })
         ) {
             corrupt_seen = true;

@@ -6,7 +6,6 @@
 use exp_harness::runner::RunConfig;
 use exp_harness::session::SimSession;
 use exp_harness::sweep::{designs_from_specs, run_sweep, SweepGrid, SweepOptions};
-use ooo_sim::SimConfig;
 use samie_lsq::DesignSpec;
 use spec_traces::{find_workload, Workload};
 use trace_isa::strc::RecordedTrace;
@@ -158,13 +157,11 @@ fn replay_traces_sweep_like_benchmarks() {
     session(find_workload("gcc").unwrap()).record(&path).run();
 
     // `@file.strc` resolves through the sweep grid's workload parser.
-    let grid = SweepGrid {
-        designs: designs_from_specs([DesignSpec::samie_paper()]),
-        benchmarks: SweepGrid::parse_benchmarks(&format!("@{}", path.display())).unwrap(),
-        seeds: vec![RC.seed],
-        rc: RC,
-        cfg: SimConfig::paper(),
-    };
+    let grid = SweepGrid::paper(
+        [DesignSpec::samie_paper()],
+        SweepGrid::parse_benchmarks(&format!("@{}", path.display())).unwrap(),
+        RC,
+    );
     let report = run_sweep(
         &grid,
         &SweepOptions {
@@ -179,7 +176,7 @@ fn replay_traces_sweep_like_benchmarks() {
     // comparable (cycles + ipc are the full fingerprint here).
     let live = session(find_workload("gcc").unwrap()).run();
     let samie_live = live.by_id("samie:64x2x8:sh8:ab64").unwrap();
-    assert_eq!(report.points[0].cycles, samie_live.stats.cycles);
-    assert_eq!(report.points[0].ipc, samie_live.stats.ipc());
+    assert_eq!(report.points[0].cycles(), samie_live.stats.cycles);
+    assert_eq!(report.points[0].ipc(), samie_live.stats.ipc());
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
