@@ -20,6 +20,10 @@
 //! Beyond the paper's fixed tables, [`sweep`] runs declarative design-space
 //! grids (`samie-exp sweep`) and the throughput benchmark tracked by CI
 //! (`samie-exp bench`), both emitting machine-readable `BENCH_sweep.json`.
+//! A grid is a plain [`SweepGrid`] value: the CLI starts from
+//! [`SweepGrid::sweep_default`] or [`SweepGrid::bench_default`] and its
+//! flags replace axes through [`SweepGrid::parse_benchmarks`],
+//! [`SweepGrid::parse_cfg`] and [`DesignRegistry::parse_list`].
 //!
 //! ## Incremental everything
 //!
@@ -53,10 +57,8 @@
 //! [`runner::run_point`].
 
 pub mod chart;
-pub mod experiment;
 pub mod experiments;
 pub mod fuzz;
-pub mod profile;
 pub mod report;
 pub mod runner;
 pub mod session;
@@ -65,9 +67,7 @@ pub mod table;
 
 pub use chart::svg_bar_chart;
 pub use exp_store::{ExperimentStore, PointKey, StoredPoint, SIM_VERSION};
-pub use experiment::{BenchSel, ConfigOverrides, ExperimentParseError, ExperimentSpec};
 pub use fuzz::{differential_check, run_fuzz, FuzzConfig, FuzzMismatch, FuzzReport};
-pub use profile::{run_profile, ProfilePoint, ProfileReport};
 pub use report::{generate_book, BookSummary, ReportOptions};
 pub use runner::{parallel_map_with, run_point, PairedRun, PointCache, RunConfig};
 pub use samie_lsq::{DesignHandle, DesignParseError, DesignRegistry, DesignSpec, LsqFactory};

@@ -15,17 +15,18 @@
 //!   summary   headline numbers vs the paper
 //!   all       everything above
 //!
-//! samie-exp sweep [--exp SPEC] [--designs LIST] [--bench LIST|all]
-//!                 [--seeds LIST] [--jobs N] [--shard I/N] [common flags]
+//! samie-exp sweep [--designs LIST] [--bench LIST|all] [--seeds LIST]
+//!                 [--cfg KEY:VAL,...] [--jobs N] [--shard I/N] [common flags]
 //!   design-space grid: LSQ designs x workloads x seeds -> CSV +
 //!   BENCH_sweep.json (+ timing-zeroed BENCH_sweep.det.{json,csv}, the
 //!   byte-comparable artifacts). Designs are DesignSpec strings (run
 //!   `samie-exp designs` for the registered kinds and their syntax),
-//!   comma-separated.
+//!   comma-separated. Each flag replaces one axis of the default grid
+//!   (six-design ladder x the 26-benchmark suite).
 //!
-//!   --exp takes a whole typed ExperimentSpec in one string —
-//!   `design=conv:128,samie bench=gzip,swim seed=1,2 cfg=rob:128`; the
-//!   explicit flags override individual fields of it.
+//!   --cfg overrides core-configuration fields of the paper machine by
+//!   their SimConfig::canonical tags (fw dw iwi iwf cw fq rob iqi iqf mr
+//!   ports wd), e.g. `--cfg rob:128,ports:2`.
 //!
 //!   --shard i/n runs only worker i's slice of the grid against the
 //!   shared --store. Run n such workers (as separate processes), then a
@@ -34,17 +35,10 @@
 //!   deterministic JSON/CSV is byte-identical to a serial run.
 //!
 //! samie-exp bench [--baseline FILE] [--max-regression X] [common flags]
-//!   fixed throughput-tracking grid; with --baseline, exits 3 if
-//!   aggregate simulated-instructions/sec regressed more than X times
-//!   (default 2.0) vs the checked-in BENCH_baseline.json.
-//!
-//! samie-exp profile [--designs LIST] [--bench LIST] [--exp SPEC]
-//!                   [common flags]
-//!   per-stage attribution of where simulation wall time goes: runs the
-//!   bench grid (default: the paper trio x gzip/swim/ammp) serially with
-//!   the pipeline probe enabled and writes PROFILE_report.json (schema
-//!   samie-profile-v1) + PROFILE_report.md with wall-ns, event counts
-//!   and ns/event per stage, plus stepped-vs-skipped cycle totals.
+//!   throughput-tracking grid (default: the paper trio x gzip/swim/ammp;
+//!   the sweep flags reshape it); with --baseline, exits 3 if aggregate
+//!   simulated-instructions/sec regressed more than X times (default
+//!   2.0) vs the checked-in BENCH_baseline.json.
 //!
 //! samie-exp designs
 //!   list every design kind in the registry with its spec syntax.
@@ -100,11 +94,11 @@
 //!
 //! A malformed flag (unknown, missing its value, or with an unparseable
 //! value) prints one `samie-exp: ...` line naming the flag and exits 2.
+//! `--help` lists every flag (the `FLAGS` table) and command.
 //! ```
 
 use std::path::PathBuf;
 
-use exp_harness::experiment::{BenchSel, ExperimentSpec};
 use exp_harness::experiments::{fig1, fig3_4, paired, tab1_delay, tab456};
 use exp_harness::fuzz::{run_fuzz, FuzzConfig};
 use exp_harness::report::{generate_book, ReportOptions};
@@ -112,7 +106,8 @@ use exp_harness::runner::{PairedRun, PointCache, RunConfig};
 use exp_harness::session::SimSession;
 use exp_harness::sweep::{check_regression, run_sweep, ShardSpec, SweepGrid, SweepOptions};
 use exp_harness::table::Table;
-use exp_harness::{DesignHandle, DesignRegistry, DesignSpec, SIM_VERSION};
+use exp_harness::{DesignHandle, DesignRegistry, SIM_VERSION};
+use ooo_sim::SimConfig;
 use spec_traces::{all_benchmarks, find_workload, Workload};
 
 /// What the first positional argument asks for. The paper experiment ids
@@ -126,7 +121,6 @@ enum Command {
     Paper(String),
     Sweep,
     Bench,
-    Profile,
     Designs,
     Fuzz,
     Record,
@@ -144,10 +138,9 @@ const PAPER_IDS: &[&str] = &[
 ];
 
 /// The mode commands, by the word that selects them.
-const MODES: [(&str, Command); 10] = [
+const MODES: [(&str, Command); 9] = [
     ("sweep", Command::Sweep),
     ("bench", Command::Bench),
-    ("profile", Command::Profile),
     ("designs", Command::Designs),
     ("fuzz", Command::Fuzz),
     ("record", Command::Record),
@@ -206,19 +199,21 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
+/// The parsed command line. Every field but `command` and
+/// `positionals` is set through [`FLAGS`]; `None` means "not given", and
+/// each command applies its own default.
 struct Args {
     command: Command,
-    rc: RunConfig,
-    /// Which of instrs/warmup were given explicitly (fuzz/record pick
-    /// their own defaults otherwise).
-    instrs_set: bool,
-    warmup_set: bool,
-    out: PathBuf,
-    out_set: bool,
+    instrs: Option<u64>,
+    warmup: Option<u64>,
+    seed: u64,
+    out: Option<PathBuf>,
     chart: bool,
     designs: Option<String>,
     benchmarks: Option<String>,
     seeds: Option<String>,
+    /// `--cfg` overrides, parsed onto the paper configuration.
+    cfg: SimConfig,
     jobs: usize,
     baseline: Option<PathBuf>,
     max_regression: f64,
@@ -228,160 +223,199 @@ struct Args {
     gc: bool,
     expect_warm: Option<f64>,
     shard: Option<ShardSpec>,
-    exp: Option<String>,
     dump: bool,
     /// Extra positionals after the command word (only `rv` takes any:
     /// the subcommand verb and its target).
     positionals: Vec<String>,
 }
 
-/// A value-taking flag's argument: the next word, unless the command
-/// line ends or the next word is itself a flag.
-fn flag_value(flag: &str, it: &mut impl Iterator<Item = String>) -> Result<String, String> {
-    match it.next() {
-        Some(v) if !v.starts_with("--") => Ok(v),
-        _ => Err(format!("{flag}: missing value")),
+impl Default for Args {
+    fn default() -> Self {
+        Args {
+            command: Command::Paper("all".to_string()),
+            instrs: None,
+            warmup: None,
+            seed: RunConfig::default().seed,
+            out: None,
+            chart: false,
+            designs: None,
+            benchmarks: None,
+            seeds: None,
+            cfg: SimConfig::paper(),
+            jobs: 0,
+            baseline: None,
+            max_regression: 2.0,
+            iters: 200,
+            store: PathBuf::from(".samie-store"),
+            no_cache: false,
+            gc: false,
+            expect_warm: None,
+            shard: None,
+            dump: false,
+            positionals: Vec::new(),
+        }
     }
 }
 
-/// A flag's value parsed as a number.
-fn flag_number<T: std::str::FromStr>(
-    flag: &str,
-    it: &mut impl Iterator<Item = String>,
-) -> Result<T, String> {
-    let v = flag_value(flag, it)?;
+/// How a flag sets its [`Args`] field.
+enum Set {
+    /// A switch: takes no value.
+    Switch(fn(&mut Args)),
+    /// Keeps its value as text (the command that uses it parses it).
+    Text(fn(&mut Args, String)),
+    /// Parses its value now; the error names what was wrong with it.
+    Parse(fn(&mut Args, &str) -> Result<(), String>),
+}
+
+/// A flag value parsed as a number.
+fn number<T: std::str::FromStr>(v: &str) -> Result<T, String> {
     v.parse()
-        .map_err(|_| format!("{flag}: expected a number, got \"{v}\""))
+        .map_err(|_| format!("expected a number, got \"{v}\""))
+}
+
+/// Every flag `samie-exp` accepts, as (name, value hint for `--help`,
+/// setter) — the one list [`parse_args`] and [`usage`] read.
+const FLAGS: [(&str, &str, Set); 20] = [
+    (
+        "--instrs",
+        "N",
+        Set::Parse(|a, v| number(v).map(|n| a.instrs = Some(n))),
+    ),
+    (
+        "--warmup",
+        "N",
+        Set::Parse(|a, v| number(v).map(|n| a.warmup = Some(n))),
+    ),
+    (
+        "--quick",
+        "",
+        Set::Switch(|a| {
+            let q = RunConfig::quick();
+            (a.instrs, a.warmup) = (Some(q.instrs), Some(q.warmup));
+        }),
+    ),
+    (
+        "--seed",
+        "N",
+        Set::Parse(|a, v| number(v).map(|n| a.seed = n)),
+    ),
+    ("--out", "DIR", Set::Text(|a, v| a.out = Some(v.into()))),
+    ("--chart", "", Set::Switch(|a| a.chart = true)),
+    ("--designs", "LIST", Set::Text(|a, v| a.designs = Some(v))),
+    ("--bench", "LIST", Set::Text(|a, v| a.benchmarks = Some(v))),
+    ("--seeds", "LIST", Set::Text(|a, v| a.seeds = Some(v))),
+    (
+        "--cfg",
+        "KEY:VAL,...",
+        Set::Parse(|a, v| SweepGrid::parse_cfg(v).map(|c| a.cfg = c)),
+    ),
+    (
+        "--jobs",
+        "N",
+        Set::Parse(|a, v| number(v).map(|n| a.jobs = n)),
+    ),
+    (
+        "--shard",
+        "I/N",
+        Set::Parse(|a, v| v.parse().map(|s| a.shard = Some(s))),
+    ),
+    (
+        "--baseline",
+        "FILE",
+        Set::Text(|a, v| a.baseline = Some(v.into())),
+    ),
+    (
+        "--max-regression",
+        "X",
+        Set::Parse(|a, v| number(v).map(|x| a.max_regression = x)),
+    ),
+    (
+        "--iters",
+        "N",
+        Set::Parse(|a, v| number(v).map(|n| a.iters = n)),
+    ),
+    ("--store", "DIR", Set::Text(|a, v| a.store = v.into())),
+    ("--no-cache", "", Set::Switch(|a| a.no_cache = true)),
+    ("--gc", "", Set::Switch(|a| a.gc = true)),
+    ("--dump", "", Set::Switch(|a| a.dump = true)),
+    (
+        "--expect-warm",
+        "X",
+        Set::Parse(|a, v| number(v).map(|x| a.expect_warm = Some(x))),
+    ),
+];
+
+/// The `--help` text, built from [`PAPER_IDS`], [`MODES`] and [`FLAGS`].
+fn usage() -> String {
+    let commands: Vec<&str> = PAPER_IDS
+        .iter()
+        .copied()
+        .chain(MODES.iter().map(|(w, _)| *w))
+        .collect();
+    let flags: Vec<String> = FLAGS
+        .iter()
+        .map(|(name, hint, _)| match *hint {
+            "" => format!("[{name}]"),
+            hint => format!("[{name} {hint}]"),
+        })
+        .collect();
+    format!(
+        "usage: samie-exp <{}> {}",
+        commands.join("|"),
+        flags.join(" ")
+    )
 }
 
 /// Parse the command line. A malformed flag is an `Err` holding one
 /// diagnostic line that names it.
 fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args::default();
     let mut command = None;
-    let mut rc = RunConfig::default();
-    let mut instrs_set = false;
-    let mut warmup_set = false;
-    let mut out = PathBuf::from("results");
-    let mut out_set = false;
-    let mut chart = false;
-    let mut designs = None;
-    let mut benchmarks = None;
-    let mut seeds = None;
-    let mut jobs = 0;
-    let mut baseline = None;
-    let mut max_regression = 2.0;
-    let mut iters = 200;
-    let mut store = PathBuf::from(".samie-store");
-    let mut no_cache = false;
-    let mut gc = false;
-    let mut expect_warm = None;
-    let mut shard = None;
-    let mut exp = None;
-    let mut dump = false;
-    let mut positionals = Vec::new();
     let mut it = argv.into_iter();
     while let Some(a) = it.next() {
-        let it = &mut it;
-        match a.as_str() {
-            "--instrs" => {
-                rc.instrs = flag_number(&a, it)?;
-                instrs_set = true;
+        if a == "--help" || a == "-h" {
+            eprintln!("{}", usage());
+            std::process::exit(0);
+        }
+        if let Some((_, _, set)) = FLAGS.iter().find(|(name, _, _)| *name == a) {
+            // A value is the next word, unless the command line ends or
+            // the next word is itself a flag.
+            let mut value = || match it.next() {
+                Some(v) if !v.starts_with("--") => Ok(v),
+                _ => Err(format!("{a}: missing value")),
+            };
+            match set {
+                Set::Switch(set) => set(&mut args),
+                Set::Text(set) => set(&mut args, value()?),
+                Set::Parse(set) => set(&mut args, &value()?).map_err(|e| format!("{a}: {e}"))?,
             }
-            "--warmup" => {
-                rc.warmup = flag_number(&a, it)?;
-                warmup_set = true;
-            }
-            "--seed" => rc.seed = flag_number(&a, it)?,
-            "--iters" => iters = flag_number(&a, it)?,
-            "--out" => {
-                out = PathBuf::from(flag_value(&a, it)?);
-                out_set = true;
-            }
-            "--chart" => chart = true,
-            "--quick" => {
-                let q = RunConfig::quick();
-                rc.instrs = q.instrs;
-                rc.warmup = q.warmup;
-                instrs_set = true;
-                warmup_set = true;
-            }
-            "--designs" => designs = Some(flag_value(&a, it)?),
-            "--bench" => benchmarks = Some(flag_value(&a, it)?),
-            "--seeds" => seeds = Some(flag_value(&a, it)?),
-            "--jobs" => jobs = flag_number(&a, it)?,
-            "--baseline" => baseline = Some(PathBuf::from(flag_value(&a, it)?)),
-            "--max-regression" => max_regression = flag_number(&a, it)?,
-            "--store" => store = PathBuf::from(flag_value(&a, it)?),
-            "--no-cache" => no_cache = true,
-            "--gc" => gc = true,
-            "--expect-warm" => expect_warm = Some(flag_number(&a, it)?),
-            "--shard" => {
-                let v = flag_value(&a, it)?;
-                shard = Some(v.parse::<ShardSpec>().map_err(|e| format!("{a}: {e}"))?);
-            }
-            "--exp" => exp = Some(flag_value(&a, it)?),
-            "--dump" => dump = true,
-            "--help" | "-h" => {
-                eprintln!("usage: samie-exp <fig1|fig3|fig4|tab1|delay|fig5..fig12|tab456|summary|all|sweep|bench|profile|designs|fuzz|record|report|store|analyze|rv> [--exp SPEC] [--instrs N] [--warmup N] [--seed N] [--out DIR] [--quick] [--chart] [--designs LIST] [--bench LIST] [--seeds LIST] [--jobs N] [--baseline FILE] [--max-regression X] [--iters N] [--store DIR] [--no-cache] [--gc] [--dump] [--expect-warm X] [--shard I/N]");
-                std::process::exit(0);
-            }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag {flag} (run with --help)"));
-            }
-            other if command.is_none() => {
-                command = Some(Command::parse(other).map_err(|e| format!("{e}; run with --help"))?);
-            }
-            other if command == Some(Command::Rv) => positionals.push(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
+        } else if a.starts_with("--") {
+            return Err(format!("unknown flag {a} (run with --help)"));
+        } else if command.is_none() {
+            command = Some(Command::parse(&a).map_err(|e| format!("{e}; run with --help"))?);
+        } else if command == Some(Command::Rv) {
+            args.positionals.push(a);
+        } else {
+            return Err(format!("unexpected argument `{a}`"));
         }
     }
-    Ok(Args {
-        command: command.unwrap_or_else(|| Command::Paper("all".to_string())),
-        rc,
-        instrs_set,
-        warmup_set,
-        out,
-        out_set,
-        chart,
-        designs,
-        benchmarks,
-        seeds,
-        jobs,
-        baseline,
-        max_regression,
-        iters,
-        store,
-        no_cache,
-        gc,
-        expect_warm,
-        shard,
-        exp,
-        dump,
-        positionals,
-    })
+    if let Some(c) = command {
+        args.command = c;
+    }
+    Ok(args)
 }
 
 /// `fuzz` entry point; returns the process exit code (4 on mismatch).
 fn run_fuzz_command(args: &Args) -> i32 {
-    let defaults = FuzzConfig::default();
     let cfg = FuzzConfig {
         iters: args.iters,
-        seed: args.rc.seed,
+        seed: args.seed,
         rc: RunConfig {
-            instrs: if args.instrs_set {
-                args.rc.instrs
-            } else {
-                defaults.rc.instrs
-            },
-            warmup: if args.warmup_set {
-                args.rc.warmup
-            } else {
-                defaults.rc.warmup
-            },
             seed: 0,
+            ..args.rc(FuzzConfig::default().rc)
         },
         jobs: args.jobs,
-        out: Some(args.out.clone()),
+        out: Some(args.out("results")),
     };
     eprintln!(
         "fuzz: {} iterations (seed {}, {} + {} instrs each) x every design family vs oracle + unbounded",
@@ -422,17 +456,30 @@ fn run_fuzz_command(args: &Args) -> i32 {
 }
 
 impl Args {
-    /// Run length of the one-off commands (`record`, `rv run`): the
-    /// given `--instrs`/`--warmup`/`--quick`, else [`RunConfig::quick`].
-    fn one_off_rc(&self) -> RunConfig {
-        if self.instrs_set || self.warmup_set {
-            self.rc
-        } else {
-            RunConfig {
-                seed: self.rc.seed,
-                ..RunConfig::quick()
-            }
+    /// The run length: `--instrs`/`--warmup` (or `--quick`) where given,
+    /// else `default`'s, under `--seed`.
+    fn rc(&self, default: RunConfig) -> RunConfig {
+        RunConfig {
+            instrs: self.instrs.unwrap_or(default.instrs),
+            warmup: self.warmup.unwrap_or(default.warmup),
+            seed: self.seed,
         }
+    }
+
+    /// Run length of the one-off commands (`record`, `rv run`):
+    /// [`RunConfig::quick`] unless `--instrs`/`--warmup`/`--quick` was
+    /// given, in which case the standard default fills the other.
+    fn one_off_rc(&self) -> RunConfig {
+        if self.instrs.is_none() && self.warmup.is_none() {
+            self.rc(RunConfig::quick())
+        } else {
+            self.rc(RunConfig::default())
+        }
+    }
+
+    /// `--out`, else `default`.
+    fn out(&self, default: &str) -> PathBuf {
+        self.out.clone().unwrap_or_else(|| PathBuf::from(default))
     }
 }
 
@@ -443,16 +490,22 @@ fn usage_error(flag: &str, e: impl std::fmt::Display) -> i32 {
     2
 }
 
-/// `--designs` (default: all six families) as registry handles, or the
-/// usage-error exit code.
+/// A `--designs` list as registry handles, or the usage-error exit code.
+fn parse_designs(list: &str) -> Result<Vec<DesignHandle>, i32> {
+    match DesignRegistry::builtin().parse_list(list) {
+        Ok(d) if d.is_empty() => Err(usage_error("--designs", "needs at least one design")),
+        Ok(d) => Ok(d),
+        Err(e) => Err(usage_error("--designs", e)),
+    }
+}
+
+/// `--designs` (default: all six families) for the one-off commands.
 fn designs_arg(args: &Args) -> Result<Vec<DesignHandle>, i32> {
-    DesignRegistry::builtin()
-        .parse_list(
-            args.designs
-                .as_deref()
-                .unwrap_or("conv:128,filtered,samie,arb,unbounded,oracle"),
-        )
-        .map_err(|e| usage_error("--designs", e))
+    parse_designs(
+        args.designs
+            .as_deref()
+            .unwrap_or("conv:128,filtered,samie,arb,unbounded,oracle"),
+    )
 }
 
 /// `record` entry point: capture the trace a session consumes.
@@ -468,7 +521,7 @@ fn run_record_command(args: &Args) -> i32 {
     };
     let rc = args.one_off_rc();
     let path = args
-        .out
+        .out("results")
         .join(format!("{}-s{}.strc", workload.name(), rc.seed));
     let session = SimSession::new(&designs[0], &workload)
         .run_config(rc)
@@ -533,35 +586,41 @@ fn open_cache(args: &Args, disabled: bool) -> CacheState {
     }
 }
 
-/// Resolve the grid for `sweep`/`bench`/`profile`: start from `--exp`
-/// (or the mode's default grid), then let the explicit flags override
-/// individual fields.
-fn build_grid(args: &Args, is_bench: bool) -> Result<SweepGrid, String> {
-    let mut spec = match &args.exp {
-        Some(s) => s.parse::<ExperimentSpec>().map_err(|e| e.to_string())?,
-        None if is_bench => ExperimentSpec::bench_default(args.rc),
-        None => ExperimentSpec::sweep_default(args.rc),
+/// The `sweep`/`bench` grid: the mode's default grid, with each of
+/// `--designs`, `--bench`, `--seeds`, `--cfg` and the run length
+/// replacing its axis. A bad value is the usage-error exit code, after
+/// one line naming its flag.
+fn build_grid(args: &Args, is_bench: bool) -> Result<SweepGrid, i32> {
+    let rc = args.rc(RunConfig::default());
+    if rc.instrs == 0 {
+        return Err(usage_error("--instrs", "must be positive"));
+    }
+    let mut grid = if is_bench {
+        SweepGrid::bench_default(rc)
+    } else {
+        SweepGrid::sweep_default(rc)
     };
-    if args.instrs_set {
-        spec.instrs = args.rc.instrs;
-    }
-    if args.warmup_set {
-        spec.warmup = args.rc.warmup;
-    }
     if let Some(d) = &args.designs {
-        spec.designs = DesignSpec::parse_list(d).map_err(|e| e.to_string())?;
+        grid.designs = parse_designs(d)?;
     }
     if let Some(b) = &args.benchmarks {
-        spec.benches = BenchSel::parse_bench_list(b).map_err(|e| e.to_string())?;
+        grid.benchmarks = SweepGrid::parse_benchmarks(b).map_err(|e| usage_error("--bench", e))?;
     }
     if let Some(s) = &args.seeds {
-        spec.seeds = s
+        grid.seeds = s
             .split(',')
             .filter(|x| !x.is_empty())
-            .map(|x| x.parse().map_err(|_| format!("bad seed `{x}`")))
+            .map(|x| {
+                x.parse()
+                    .map_err(|_| usage_error("--seeds", format!("bad seed `{x}`")))
+            })
             .collect::<Result<_, _>>()?;
+        if grid.seeds.is_empty() {
+            return Err(usage_error("--seeds", "needs at least one seed"));
+        }
     }
-    spec.to_grid()
+    grid.cfg = args.cfg;
+    Ok(grid)
 }
 
 /// `sweep` / `bench` entry point; returns the process exit code.
@@ -569,17 +628,16 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
     let mode = if is_bench { "bench" } else { "sweep" };
     let grid = match build_grid(args, is_bench) {
         Ok(g) => g,
-        Err(e) => {
-            eprintln!("{mode}: {e}");
-            return 2;
-        }
+        Err(code) => return code,
     };
     // Shards hand their results over through the store, and `bench`
     // exists to measure raw simulation throughput — the modes are
     // mutually exclusive.
     if args.shard.is_some() && (is_bench || args.no_cache) {
-        eprintln!("--shard needs the experiment store: use `sweep` without --no-cache");
-        return 2;
+        return usage_error(
+            "--shard",
+            "needs the experiment store: use `sweep` without --no-cache",
+        );
     }
     // `bench` is a throughput tracker: its number must be comparable
     // across hosts with different core counts, so it runs serially
@@ -636,7 +694,7 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
         report.wall.as_secs_f64(),
         report.total_sim_ips() / 1e6,
     );
-    match report.write(&args.out) {
+    match report.write(&args.out("results")) {
         Ok(p) => eprintln!("  -> {}", p.display()),
         Err(e) => eprintln!("  (json not written: {e})"),
     }
@@ -662,47 +720,10 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
     0
 }
 
-/// `profile` entry point: per-stage wall-time attribution over the
-/// bench grid (or whatever --exp/--designs/--bench selects). Runs
-/// serially by construction — concurrent points would contend for cores
-/// and smear each other's timings.
-fn run_profile_command(args: &Args) -> i32 {
-    let grid = match build_grid(args, true) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("profile: {e}");
-            return 2;
-        }
-    };
-    eprintln!(
-        "profile: {} designs x {} benchmarks x {} seeds, {} + {} instrs per point (serial)",
-        grid.designs.len(),
-        grid.benchmarks.len(),
-        grid.seeds.len(),
-        grid.rc.warmup,
-        grid.rc.instrs,
-    );
-    let report = exp_harness::run_profile(&grid);
-    println!("{}", report.table().render());
-    match report.write(&args.out) {
-        Ok(p) => {
-            eprintln!("  -> {}", p.display());
-            0
-        }
-        Err(e) => {
-            eprintln!("cannot write profile report: {e}");
-            1
-        }
-    }
-}
-
 /// `report` entry point: regenerate the reproduction book.
 fn run_report_command(args: &Args) -> i32 {
-    let out = if args.out_set {
-        args.out.clone()
-    } else {
-        PathBuf::from("docs/book")
-    };
+    let out = args.out("docs/book");
+    let rc = args.rc(RunConfig::default());
     let cache = open_cache(args, args.no_cache);
     if let Some(reason) = cache.failure() {
         if args.expect_warm.is_some() {
@@ -712,14 +733,14 @@ fn run_report_command(args: &Args) -> i32 {
             return 5;
         }
     }
-    let mut opts = ReportOptions::new(args.rc, &out);
+    let mut opts = ReportOptions::new(rc, &out);
     opts.cache = cache.cache();
     eprintln!(
         "report: {} benchmarks, {} + {} instrs per point (seed {}) -> {}",
         opts.suite.len(),
-        args.rc.warmup,
-        args.rc.instrs,
-        args.rc.seed,
+        rc.warmup,
+        rc.instrs,
+        rc.seed,
         out.display()
     );
     let book = match generate_book(&opts) {
@@ -1094,7 +1115,6 @@ fn main() {
         }
         Command::Sweep => std::process::exit(run_sweep_command(&args, false)),
         Command::Bench => std::process::exit(run_sweep_command(&args, true)),
-        Command::Profile => std::process::exit(run_profile_command(&args)),
         Command::Fuzz => std::process::exit(run_fuzz_command(&args)),
         Command::Record => std::process::exit(run_record_command(&args)),
         Command::Report => std::process::exit(run_report_command(&args)),
@@ -1103,7 +1123,7 @@ fn main() {
         Command::Rv => std::process::exit(run_rv_command(&args)),
         Command::Paper(id) => id.clone(),
     };
-    let rc = args.rc;
+    let rc = args.rc(RunConfig::default());
     let exp = exp.as_str();
     eprintln!(
         "running `{exp}` with {} measured / {} warm-up instructions per benchmark (seed {})",
@@ -1112,7 +1132,8 @@ fn main() {
 
     // `Command::parse` admits only PAPER_IDS, so every id emits something.
     let wants = |id: &str| exp == id || exp == "all";
-    let show = |t: &Table| emit(t, &args.out, args.chart);
+    let out = args.out("results");
+    let show = |t: &Table| emit(t, &out, args.chart);
     if wants("fig1") {
         eprintln!("ARB sweep (17 configurations x 26 benchmarks)...");
         show(&fig1::table(&fig1::run_with(&rc, None, all_benchmarks())));

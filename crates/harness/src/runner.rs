@@ -22,16 +22,6 @@ use spec_traces::Workload;
 
 use crate::session::{IntoDesign, SimSession};
 
-/// Monotonic nanoseconds since the first call — the harness's sanctioned
-/// clock for the pipeline profiler. `ooo-sim` deliberately takes time as
-/// a plain `fn() -> u64` (the deterministic crates never read the host
-/// clock); this is the function the `samie-exp profile` command plugs in.
-pub fn clock_nanos() -> u64 {
-    use std::sync::OnceLock;
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
 /// Simulation length parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct RunConfig {

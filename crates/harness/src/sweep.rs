@@ -32,8 +32,8 @@ use std::time::{Duration, Instant};
 
 use energy_model::price_lsq;
 use ooo_sim::{SimConfig, SimStats};
-use samie_lsq::{DesignHandle, DesignSpec};
-use spec_traces::{all_workloads, find_workload, Workload};
+use samie_lsq::{DesignHandle, DesignSpec, SamieConfig};
+use spec_traces::{all_benchmarks, all_workloads, find_workload, Workload};
 
 use crate::runner::{parallel_map_with, run_point, PointCache, RunConfig};
 use crate::table::{fmt, Table};
@@ -56,6 +56,26 @@ pub struct SweepGrid {
     /// its canonical form, so grids with different configs never alias).
     pub cfg: SimConfig,
 }
+
+/// Sets one [`SimConfig`] field from a `--cfg` value.
+type SetField = fn(&mut SimConfig, u64);
+
+/// The [`SweepGrid::parse_cfg`] keys, in [`SimConfig::canonical`] order,
+/// each with the field it sets.
+const CFG_KEYS: [(&str, SetField); 12] = [
+    ("fw", |c, v| c.fetch_width = v as u32),
+    ("dw", |c, v| c.dispatch_width = v as u32),
+    ("iwi", |c, v| c.issue_width_int = v as u32),
+    ("iwf", |c, v| c.issue_width_fp = v as u32),
+    ("cw", |c, v| c.commit_width = v as u32),
+    ("fq", |c, v| c.fetch_queue = v as usize),
+    ("rob", |c, v| c.rob_size = v as usize),
+    ("iqi", |c, v| c.iq_int = v as usize),
+    ("iqf", |c, v| c.iq_fp = v as usize),
+    ("mr", |c, v| c.mispredict_redirect = v as u32),
+    ("ports", |c, v| c.mem_ports = v as u32),
+    ("wd", |c, v| c.watchdog_cycles = v),
+];
 
 /// Lift typed [`DesignSpec`]s into the handles a grid carries.
 pub fn designs_from_specs(specs: impl IntoIterator<Item = DesignSpec>) -> Vec<DesignHandle> {
@@ -83,25 +103,96 @@ impl SweepGrid {
         }
     }
 
+    /// The default `sweep` grid: a SAMIE/conventional geometry ladder
+    /// over the 26-benchmark calibrated suite.
+    pub fn sweep_default(rc: RunConfig) -> Self {
+        let ladder = [
+            DesignSpec::Conventional { entries: 64 },
+            DesignSpec::Conventional { entries: 128 },
+            DesignSpec::filtered_paper(),
+            DesignSpec::Samie(SamieConfig {
+                banks: 32,
+                ..SamieConfig::paper()
+            }),
+            DesignSpec::samie_paper(),
+            DesignSpec::Samie(SamieConfig {
+                entries_per_bank: 4,
+                ..SamieConfig::paper()
+            }),
+        ];
+        let suite = all_benchmarks().iter().map(Workload::from).collect();
+        SweepGrid::paper(ladder, suite, rc)
+    }
+
+    /// The default `bench` grid: the paper trio on one integer, one
+    /// floating-point and the pathological benchmark.
+    pub fn bench_default(rc: RunConfig) -> Self {
+        let benches = ["gzip", "swim", "ammp"]
+            .iter()
+            .map(|n| find_workload(n).expect("catalog benchmark"))
+            .collect();
+        SweepGrid::paper(DesignSpec::paper_trio(), benches, rc)
+    }
+
     /// Parse a comma-separated workload list. `all` expands to the full
     /// catalog (calibrated suite + adversarial pack); names resolve
     /// case-insensitively with "did you mean" errors; `@path/to/file.strc`
-    /// loads a recorded trace for replay.
+    /// loads a recorded trace for replay. An empty list is an error.
     pub fn parse_benchmarks(list: &str) -> Result<Vec<Workload>, String> {
         if list == "all" {
             return Ok(all_workloads());
         }
-        list.split(',')
+        let benchmarks: Vec<Workload> = list
+            .split(',')
             .filter(|s| !s.is_empty())
-            .map(|n| {
-                if let Some(path) = n.strip_prefix('@') {
-                    Workload::replay_file(std::path::Path::new(path))
-                        .map_err(|e| format!("cannot replay `{path}`: {e}"))
-                } else {
-                    find_workload(n).map_err(|e| e.to_string())
-                }
+            .map(|n| match n.strip_prefix('@') {
+                Some("") => Err("`@` needs a trace path, e.g. `@results/gzip-s42.strc`".into()),
+                Some(path) => Workload::replay_file(std::path::Path::new(path))
+                    .map_err(|e| format!("cannot replay `{path}`: {e}")),
+                None => find_workload(n).map_err(|e| e.to_string()),
             })
-            .collect()
+            .collect::<Result<_, _>>()?;
+        if benchmarks.is_empty() {
+            return Err("needs at least one workload".into());
+        }
+        Ok(benchmarks)
+    }
+
+    /// Parse `key:value,...` core-configuration overrides onto
+    /// [`SimConfig::paper`]. The keys are the field tags of
+    /// [`SimConfig::canonical`] (`rob:128` shrinks the reorder buffer,
+    /// `ports:2` halves the d-cache ports, ...), so a grid names exactly
+    /// the configuration its store keys hash. Unknown or repeated keys,
+    /// non-numbers, values that overflow their field and overrides that
+    /// fail [`SimConfig::validate`] are errors.
+    pub fn parse_cfg(list: &str) -> Result<SimConfig, String> {
+        let mut cfg = SimConfig::paper();
+        let mut seen = Vec::new();
+        for item in list.split(',').filter(|s| !s.is_empty()) {
+            let (key, value) = item
+                .split_once(':')
+                .ok_or_else(|| format!("expected key:value, got `{item}`"))?;
+            let Some(&(_, set)) = CFG_KEYS.iter().find(|(k, _)| *k == key) else {
+                let known: Vec<&str> = CFG_KEYS.iter().map(|(k, _)| *k).collect();
+                return Err(format!("unknown key `{key}` (known: {})", known.join(", ")));
+            };
+            if seen.contains(&key) {
+                return Err(format!("duplicate key `{key}`"));
+            }
+            seen.push(key);
+            let value: u64 = value
+                .parse()
+                .map_err(|_| format!("`{key}` needs a number, got `{item}`"))?;
+            // Every key except `wd` lands in a `u32`/`usize` field: reject
+            // values the cast would wrap.
+            if key != "wd" && value > u64::from(u32::MAX) {
+                return Err(format!("`{key}:{value}` exceeds the field's range"));
+            }
+            set(&mut cfg, value);
+        }
+        cfg.validate()
+            .map_err(|e| format!("overrides produce an invalid configuration: {e}"))?;
+        Ok(cfg)
     }
 
     /// Expand the grid into points, seed-major then design-major then
@@ -606,6 +697,48 @@ mod tests {
         let err = SweepGrid::parse_benchmarks("gziip").unwrap_err();
         assert!(err.contains("did you mean `gzip`"), "{err}");
         assert!(SweepGrid::parse_benchmarks("@no/such/file.strc").is_err());
+        for empty in ["", ","] {
+            let err = SweepGrid::parse_benchmarks(empty).unwrap_err();
+            assert!(err.contains("at least one workload"), "{err}");
+        }
+        let err = SweepGrid::parse_benchmarks("gzip,@").unwrap_err();
+        assert!(err.contains("needs a trace path"), "{err}");
+    }
+
+    #[test]
+    fn default_grids_expand_the_cross_product() {
+        let rc = RunConfig::quick();
+        let sweep = SweepGrid::sweep_default(rc);
+        assert_eq!(sweep.designs.len(), 6);
+        assert_eq!(sweep.benchmarks.len(), 26);
+        assert_eq!(sweep.expand().len(), 6 * 26);
+        let bench = SweepGrid::bench_default(rc);
+        let ids: Vec<String> = bench.designs.iter().map(|d| d.id()).collect();
+        assert_eq!(
+            ids,
+            ["conv:128", "filtered:128:1024:2", "samie:64x2x8:sh8:ab64"]
+        );
+        let names: Vec<&str> = bench.benchmarks.iter().map(|w| w.name()).collect();
+        assert_eq!(names, ["gzip", "swim", "ammp"]);
+        for grid in [&sweep, &bench] {
+            assert_eq!(grid.seeds, [rc.seed]);
+            assert_eq!(grid.rc.instrs, rc.instrs);
+            assert_eq!(grid.cfg.canonical(), SimConfig::paper().canonical());
+        }
+    }
+
+    #[test]
+    fn cfg_overrides_apply_to_the_paper_config() {
+        // The rejection cases run through the CLI, in tests/cli_usage.rs.
+        let c = SweepGrid::parse_cfg("rob:128,ports:2").unwrap();
+        assert_eq!(c.rob_size, 128);
+        assert_eq!(c.mem_ports, 2);
+        assert_eq!(c.fetch_width, SimConfig::paper().fetch_width);
+        // Key order is immaterial: the store key hashes the whole config.
+        let swapped = SweepGrid::parse_cfg("ports:2,rob:128").unwrap();
+        assert_eq!(swapped.canonical(), c.canonical());
+        let none = SweepGrid::parse_cfg("").unwrap();
+        assert_eq!(none.canonical(), SimConfig::paper().canonical());
     }
 
     #[test]

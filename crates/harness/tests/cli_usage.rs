@@ -7,8 +7,8 @@ use std::process::Command;
 const EXE: &str = env!("CARGO_BIN_EXE_samie-exp");
 
 /// Run `samie-exp` with `args`; assert exit 2 and exactly one stderr
-/// line that mentions `flag`.
-fn assert_usage_error(args: &[&str], flag: &str) {
+/// line that mentions `flag`, and return that line.
+fn assert_usage_error(args: &[&str], flag: &str) -> String {
     let out = Command::new(EXE)
         .args(args)
         .output()
@@ -30,6 +30,7 @@ fn assert_usage_error(args: &[&str], flag: &str) {
         "{args:?}: the line must name `{flag}`: {}",
         lines[0]
     );
+    lines[0].to_string()
 }
 
 #[test]
@@ -61,4 +62,29 @@ fn bad_design_or_workload_is_a_usage_error_not_a_panic() {
         &["rv", "run", "rv:sieve", "--designs", "bogus"],
         "--designs",
     );
+}
+
+#[test]
+fn bad_grid_values_name_their_flag() {
+    assert_usage_error(&["sweep", "--seeds", "1,x"], "--seeds");
+    assert_usage_error(&["sweep", "--instrs", "0"], "--instrs");
+    assert_usage_error(&["sweep", "--bench", "gziip"], "--bench");
+    assert_usage_error(&["sweep", "--designs", "conv:0"], "--designs");
+    assert_usage_error(&["sweep", "--designs", ","], "--designs");
+    assert_usage_error(&["bench", "--bench", ","], "--bench");
+}
+
+#[test]
+fn bad_cfg_overrides_are_usage_errors() {
+    for (bad, why) in [
+        ("rob", "expected key:value"),
+        ("zz:4", "unknown key `zz`"),
+        ("rob:1,rob:2", "duplicate key `rob`"),
+        ("rob:zz", "needs a number"),
+        ("ports:5000000000", "exceeds the field's range"),
+        ("rob:0", "invalid configuration"),
+    ] {
+        let line = assert_usage_error(&["sweep", "--cfg", bad], "--cfg");
+        assert!(line.contains(why), "`--cfg {bad}` must say `{why}`: {line}");
+    }
 }

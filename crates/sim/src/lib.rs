@@ -40,5 +40,5 @@ pub use ageset::AgeSet;
 pub use config::SimConfig;
 pub use pipeline::Simulator;
 pub use predictor::{BranchPredictor, Btb};
-pub use profile::{NoProbe, PipelineProbe, ProfilingProbe, Stage, StageProfile};
+pub use profile::{NoProbe, PipelineProbe, Stage};
 pub use stats::SimStats;

@@ -371,9 +371,10 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
         self.run_with(instructions, &mut NoProbe)
     }
 
-    /// [`run`](Self::run) with a [`PipelineProbe`] observing every stage
-    /// (the `samie-exp profile` entry point). `NoProbe` compiles to the
-    /// plain hot loop.
+    /// [`run`](Self::run) with a [`PipelineProbe`] observing every stage,
+    /// stepped cycle and skipped stretch. The probe only observes: the
+    /// returned stats equal [`run`](Self::run)'s. `NoProbe` compiles to
+    /// the plain hot loop.
     pub fn run_with<P: PipelineProbe>(&mut self, instructions: u64, probe: &mut P) -> SimStats {
         let target = self.stats.committed + instructions;
         while self.stats.committed < target {
