@@ -706,7 +706,7 @@ mod tests {
     }
 
     #[test]
-    fn default_grids_expand_the_cross_product() {
+    fn default_grids_match_the_paper_grids() {
         let rc = RunConfig::quick();
         let sweep = SweepGrid::sweep_default(rc);
         assert_eq!(sweep.designs.len(), 6);
@@ -725,6 +725,23 @@ mod tests {
             assert_eq!(grid.rc.instrs, rc.instrs);
             assert_eq!(grid.cfg.canonical(), SimConfig::paper().canonical());
         }
+    }
+
+    #[test]
+    fn replaced_axes_expand_the_cross_product() {
+        // `sweep --designs conv:32,samie --bench gzip,swim --seeds 1,2
+        // --instrs 1000` replaces three axes of the default grid.
+        let rc = RunConfig {
+            instrs: 1000,
+            ..RunConfig::quick()
+        };
+        let mut grid = SweepGrid::sweep_default(rc);
+        grid.designs = parse_designs("conv:32,samie");
+        grid.benchmarks = SweepGrid::parse_benchmarks("gzip,swim").unwrap();
+        grid.seeds = vec![1, 2];
+        assert_eq!(grid.expand().len(), 2 * 2 * 2);
+        assert_eq!(grid.rc.instrs, 1000);
+        assert_eq!(grid.cfg.canonical(), SimConfig::paper().canonical());
     }
 
     #[test]
