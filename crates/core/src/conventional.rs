@@ -29,6 +29,16 @@ struct ConvEntry {
     data_ready: bool,
 }
 
+impl ConvEntry {
+    fn mem_op(&self) -> MemOp {
+        MemOp {
+            age: self.age,
+            is_store: self.is_store,
+            mref: self.mref,
+        }
+    }
+}
+
 /// Conventional fully-associative LSQ (the 128-entry baseline).
 #[derive(Debug, Clone)]
 pub struct ConventionalLsq {
@@ -99,6 +109,23 @@ impl ConventionalLsq {
     /// Configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// The op dispatched at `age` and whether its address is known, or
+    /// `None` if `age` is not in the queue.
+    pub(crate) fn op(&self, age: Age) -> Option<(MemOp, bool)> {
+        let seq = *self.seq_of.get(age)?;
+        let e = self.entries[(seq - self.base_seq) as usize];
+        Some((e.mem_op(), e.addr_known))
+    }
+
+    /// The ops younger than `age`, oldest first, with their
+    /// address-known bits.
+    pub(crate) fn younger_than(&self, age: Age) -> impl Iterator<Item = (MemOp, bool)> + '_ {
+        let from = self.entries.partition_point(|e| e.age <= age);
+        self.entries
+            .range(from..)
+            .map(|e| (e.mem_op(), e.addr_known))
     }
 
     fn idx_of(&self, age: Age) -> usize {
@@ -192,16 +219,16 @@ impl LoadStoreQueue for ConventionalLsq {
     }
 
     fn load_forward_status(&mut self, age: Age) -> ForwardStatus {
-        let i = self.idx_of(age);
-        let load = self.entries[i];
+        let load = self.entries[self.idx_of(age)];
         debug_assert!(!load.is_store && load.addr_known);
-        // Youngest older store with a known overlapping address.
-        let hit = self
-            .entries
+        // Youngest older store with a known overlapping address: walk the
+        // known stores older than the load, youngest first.
+        let older = self.known_stores.partition_point(|&a| a < age);
+        let hit = self.known_stores[..older]
             .iter()
-            .take(i)
             .rev()
-            .find(|e| e.is_store && e.addr_known && e.mref.overlaps(load.mref));
+            .map(|&st| self.entries[self.idx_of(st)])
+            .find(|e| e.mref.overlaps(load.mref));
         match hit {
             None => ForwardStatus::AccessCache,
             Some(st) if st.mref.covers(load.mref) && st.data_ready => {
@@ -392,6 +419,39 @@ mod tests {
             l.load_forward_status(2),
             ForwardStatus::Forward { store: 1 }
         );
+    }
+
+    #[test]
+    fn youngest_older_overlapping_known_store_wins() {
+        let mut l = lsq();
+        l.dispatch(MemOp::store(1, mref(64, 8))); // overlapping, older
+        l.dispatch(MemOp::store(2, mref(64, 8))); // overlapping: the answer
+        l.dispatch(MemOp::store(3, mref(128, 8))); // known, no overlap
+        l.dispatch(MemOp::store(4, mref(64, 8))); // address unknown
+        l.dispatch(MemOp::load(5, mref(64, 8)));
+        l.dispatch(MemOp::store(6, mref(64, 8))); // younger
+        for age in [1, 2, 3, 5, 6] {
+            l.address_ready(age);
+        }
+        for age in [1, 2, 3, 6] {
+            l.store_executed(age);
+        }
+        assert_eq!(
+            l.load_forward_status(5),
+            ForwardStatus::Forward { store: 2 }
+        );
+        l.squash_younger(5);
+        assert_eq!(
+            l.younger_than(2)
+                .map(|(op, known)| (op.age, known))
+                .collect::<Vec<_>>(),
+            [(3, true), (4, false), (5, true)]
+        );
+        assert_eq!(
+            l.op(4).map(|(op, known)| (op.is_store, known)),
+            Some((true, false))
+        );
+        assert_eq!(l.op(6), None);
     }
 
     #[test]

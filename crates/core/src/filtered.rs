@@ -84,13 +84,9 @@ pub struct FilteredLsq {
     /// Lines of in-flight stores with known addresses (checked by loads).
     store_filter: CountingBloom,
     /// Lines of in-flight loads with known addresses (checked by stores).
+    /// An op's line is in its filter exactly while the inner queue marks
+    /// its address known, so the inner queue is the only op record.
     load_filter: CountingBloom,
-    /// Dispatched ops whose address has not reached the LSQ yet
-    /// (age-sorted: dispatch allocates ages monotonically).
-    pending: Vec<(Age, MemOp)>,
-    /// Ops whose line was inserted, age-sorted (so commit — always the
-    /// oldest — and squash are binary searches, not scans).
-    tracked: Vec<(Age, bool, u64)>,
     /// Searches skipped thanks to a filter miss.
     filtered_searches: u64,
     /// Searches that had to run (filter hit — true dependence or false
@@ -112,8 +108,6 @@ impl FilteredLsq {
             inner: ConventionalLsq::with_capacity(capacity),
             store_filter: CountingBloom::new(buckets, hashes),
             load_filter: CountingBloom::new(buckets, hashes),
-            pending: Vec::new(),
-            tracked: Vec::new(),
             filtered_searches: 0,
             performed_searches: 0,
         }
@@ -139,15 +133,12 @@ impl FilteredLsq {
         }
     }
 
-    fn untrack(&mut self, age: Age) {
-        let i = self.tracked.partition_point(|&(a, _, _)| a < age);
-        if self.tracked.get(i).is_some_and(|&(a, _, _)| a == age) {
-            let (_, is_store, line) = self.tracked.remove(i);
-            if is_store {
-                self.store_filter.remove(line);
-            } else {
-                self.load_filter.remove(line);
-            }
+    /// The filter that holds the lines of ops of `op`'s kind.
+    fn filter_of(&mut self, op: MemOp) -> &mut CountingBloom {
+        if op.is_store {
+            &mut self.store_filter
+        } else {
+            &mut self.load_filter
         }
     }
 }
@@ -166,21 +157,13 @@ impl LoadStoreQueue for FilteredLsq {
     }
 
     fn dispatch(&mut self, op: MemOp) {
-        debug_assert!(
-            self.pending.last().is_none_or(|&(a, _)| a < op.age),
-            "ages must ascend"
-        );
-        self.pending.push((op.age, op));
         self.inner.dispatch(op);
     }
 
     fn address_ready(&mut self, age: Age) -> PlaceOutcome {
-        let i = self.pending.partition_point(|&(a, _)| a < age);
-        assert!(
-            self.pending.get(i).is_some_and(|&(a, _)| a == age),
-            "address_ready for an undispatched op ({age})"
-        );
-        let (_, op) = self.pending.remove(i);
+        let Some((op, false)) = self.inner.op(age) else {
+            panic!("address_ready for an op not awaiting its address ({age})");
+        };
         if self.filter_check(op) {
             // Provably dependence-free: the CAM search is skipped; only
             // the address write is paid.
@@ -218,29 +201,27 @@ impl LoadStoreQueue for FilteredLsq {
     }
 
     fn commit(&mut self, age: Age) {
-        self.untrack(age);
+        if let Some((op, true)) = self.inner.op(age) {
+            self.filter_of(op).remove(line_index(op.mref.addr));
+        }
         self.inner.commit(age);
     }
 
     fn squash_younger(&mut self, age: Age) {
-        for (_, is_store, line) in self
-            .tracked
-            .split_off(self.tracked.partition_point(|&(a, _, _)| a <= age))
-        {
-            if is_store {
-                self.store_filter.remove(line);
-            } else {
-                self.load_filter.remove(line);
+        for (op, known) in self.inner.younger_than(age) {
+            if known {
+                let filter = if op.is_store {
+                    &mut self.store_filter
+                } else {
+                    &mut self.load_filter
+                };
+                filter.remove(line_index(op.mref.addr));
             }
         }
-        self.pending
-            .truncate(self.pending.partition_point(|&(a, _)| a <= age));
         self.inner.squash_younger(age);
     }
 
     fn flush_all(&mut self) {
-        self.pending.clear();
-        self.tracked.clear();
         self.store_filter.clear();
         self.load_filter.clear();
         self.inner.flush_all();
@@ -277,8 +258,9 @@ impl FilteredLsq {
     /// Record the op's line in the appropriate filter and decide whether
     /// its disambiguation search can be skipped. Returns `true` if the
     /// search was filtered (provably no dependence). Called by
-    /// `address_ready`; public for the ablation experiments.
-    pub fn filter_check(&mut self, op: MemOp) -> bool {
+    /// `address_ready`, which then marks the address known in the inner
+    /// queue (commit and squash remove the line again).
+    fn filter_check(&mut self, op: MemOp) -> bool {
         let line = line_index(op.mref.addr);
         let filtered = if op.is_store {
             !self.load_filter.may_contain(line)
@@ -290,20 +272,7 @@ impl FilteredLsq {
         } else {
             self.performed_searches += 1;
         }
-        if op.is_store {
-            self.store_filter.insert(line);
-        } else {
-            self.load_filter.insert(line);
-        }
-        // Addresses compute nearly in age order, so the append fast path
-        // covers almost every insert.
-        match self.tracked.last() {
-            Some(&(last, _, _)) if last >= op.age => {
-                let at = self.tracked.partition_point(|&(a, _, _)| a < op.age);
-                self.tracked.insert(at, (op.age, op.is_store, line));
-            }
-            _ => self.tracked.push((op.age, op.is_store, line)),
-        }
+        self.filter_of(op).insert(line);
         filtered
     }
 }

@@ -78,6 +78,29 @@ impl AgeSet {
         }
     }
 
+    /// Walk the ages oldest-first and compact the set in the same pass.
+    /// `visit` returns `Some(keep)` for each age it decides on, or `None`
+    /// to stop: that age and every younger one stay. Removing `k` visited
+    /// ages costs one `memmove` of the unvisited tail, not `k`.
+    pub fn retain_oldest_first(&mut self, mut visit: impl FnMut(Age) -> Option<bool>) {
+        let (mut read, mut write) = (0, 0);
+        while read < self.v.len() {
+            let age = self.v[read];
+            let Some(keep) = visit(age) else {
+                break;
+            };
+            if keep {
+                self.v[write] = age;
+                write += 1;
+            }
+            read += 1;
+        }
+        if write < read {
+            self.v.copy_within(read.., write);
+            self.v.truncate(self.v.len() - (read - write));
+        }
+    }
+
     /// Drop every age.
     #[inline]
     pub fn clear(&mut self) {
@@ -111,6 +134,26 @@ mod tests {
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.first(), None);
+    }
+
+    #[test]
+    fn retain_oldest_first_compacts_and_keeps_the_unvisited_tail() {
+        let mut s = AgeSet::new();
+        for a in 1..=8 {
+            s.insert(a);
+        }
+        let mut visited = Vec::new();
+        s.retain_oldest_first(|a| {
+            visited.push(a);
+            match a {
+                6 => None,
+                _ => Some(a % 2 == 1),
+            }
+        });
+        assert_eq!(visited, [1, 2, 3, 4, 5, 6]);
+        assert_eq!(s.as_slice(), &[1, 3, 5, 6, 7, 8]);
+        s.retain_oldest_first(|_| Some(false));
+        assert!(s.is_empty());
     }
 
     #[test]

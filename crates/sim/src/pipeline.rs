@@ -26,12 +26,21 @@
 //! ## Hot-loop layout and event-driven cycle skipping
 //!
 //! In-flight ops live in a struct-of-arrays reorder buffer (`Rob`):
-//! the per-op record is split into parallel arrays indexed by the dense
-//! slot id `age - front_age` (ages are assigned sequentially at fetch and
-//! flushes clear the whole window, so the ROB is a dense age-indexed
-//! window). The commit scan touches only the `state` array, the wake-up
-//! walk only `waiting_on`/`state`, instead of dragging whole entries
-//! through the cache.
+//! the per-op record is split into parallel fixed arrays of
+//! `rob_size.next_power_of_two()` slots, and the op of age `a` sits in
+//! slot `a & mask` (ages are assigned sequentially at fetch and flushes
+//! clear the whole window, so the live ages `[age0, age0 + len)` never
+//! share a slot; `Rob::index` checks that range in every build). The
+//! commit scan touches only the `state` array, the wake-up walk only
+//! `waiting_on`/`state`, instead of dragging whole entries through the
+//! cache.
+//!
+//! Scheduled completions sit on a timing wheel (`CompletionWheel`):
+//! bucket `cycle & mask` plus an occupancy bitmap, with a horizon sized
+//! once from the configuration's longest latency. The complete stage
+//! drains exactly the current cycle's bucket in age order. The ready
+//! sets and the pending loads are sorted age vectors walked oldest-first
+//! and compacted in the same pass.
 //!
 //! Every stage reports how many units of work it performed. A cycle with
 //! zero events across all stages cannot unblock itself: every gate is a
@@ -40,7 +49,8 @@
 //! completions, the fetch resume cycle, and functional-unit releases. So
 //! when a cycle performs no events (and no refused address is waiting in
 //! the LSQ retry queue, whose re-admission attempts charge LSQ activity),
-//! the simulator jumps straight to the earliest such timer, bulk-charging
+//! the simulator jumps straight to the earliest such timer (the wheel's
+//! next completion comes from its bitmap), bulk-charging
 //! the per-cycle accounting (`stats.cycles`, LSQ occupancy integration
 //! via [`samie_lsq::LoadStoreQueue::tick_idle`], fetch-blocked cycles) so
 //! all statistics stay cycle-exact — runs with skipping on and off are
@@ -56,11 +66,11 @@
 //! fresh ages, which preserves dependency distances (they are relative to
 //! dynamic program order).
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use mem_hier::{AccessKind, Cache, DataMemory, DcacheAccessMode};
 use samie_lsq::{Age, CachePlan, ForwardStatus, LoadStoreQueue, MemOp, PlaceOutcome};
+use trace_isa::latency::exec_latency;
 use trace_isa::{FuKind, MicroOp, OpClass, TraceSource};
 
 use crate::ageset::AgeSet;
@@ -93,110 +103,222 @@ enum MemPhase {
     Finished,
 }
 
-/// Struct-of-arrays reorder buffer. One logical entry per in-flight op,
-/// split into parallel arrays indexed by the dense slot id
-/// `age - age0`: ages are assigned sequentially at fetch, dispatch pushes
+/// Struct-of-arrays reorder buffer on an age-indexed ring. One logical
+/// entry per in-flight op, split into parallel arrays of
+/// `rob_size.next_power_of_two()` slots; the op of age `a` lives in slot
+/// `a & mask`. Ages are assigned sequentially at fetch, dispatch pushes
 /// them in order, and the only squashes are whole-window flushes, so the
-/// ROB is always a contiguous age range.
+/// ROB is always the contiguous age range `[age0, age0 + len)` and no two
+/// live ages share a slot.
 #[derive(Debug)]
 struct Rob {
     /// Age of the front entry (meaningful only while non-empty).
     age0: Age,
-    op: VecDeque<MicroOp>,
-    state: VecDeque<ExecState>,
-    mem_phase: VecDeque<MemPhase>,
+    len: usize,
+    /// `slots - 1`; slot of age `a` is `a & mask`.
+    mask: u64,
+    op: Box<[MicroOp]>,
+    state: Box<[ExecState]>,
+    mem_phase: Box<[MemPhase]>,
     /// Producers still outstanding (0 → ready to issue).
-    waiting_on: VecDeque<u8>,
+    waiting_on: Box<[u8]>,
     /// Ages of dependents registered for wake-up.
-    consumers: VecDeque<Vec<Age>>,
+    consumers: Box<[Vec<Age>]>,
 }
 
 impl Rob {
     fn with_capacity(cap: usize) -> Self {
+        let slots = cap.next_power_of_two();
         Rob {
             age0: 0,
-            op: VecDeque::with_capacity(cap),
-            state: VecDeque::with_capacity(cap),
-            mem_phase: VecDeque::with_capacity(cap),
-            waiting_on: VecDeque::with_capacity(cap),
-            consumers: VecDeque::with_capacity(cap),
+            len: 0,
+            mask: slots as u64 - 1,
+            op: vec![MicroOp::alu(0, [0, 0]); slots].into_boxed_slice(),
+            state: vec![ExecState::Waiting; slots].into_boxed_slice(),
+            mem_phase: vec![MemPhase::PreAgen; slots].into_boxed_slice(),
+            waiting_on: vec![0; slots].into_boxed_slice(),
+            consumers: (0..slots).map(|_| Vec::new()).collect(),
         }
     }
 
     #[inline]
     fn len(&self) -> usize {
-        self.op.len()
+        self.len
     }
 
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.op.is_empty()
-    }
-
-    /// Slot id of `age`, or `None` if the op is not in the window (it
+    /// Slot of `age`, or `None` if the op is not in the window (it
     /// committed or was flushed — flushed ages are never re-used, so any
-    /// stale age falls below `age0`).
+    /// stale age falls below `age0`). Checked against the live range in
+    /// every build: a ring slot outside it may belong to another op.
     #[inline]
     fn index(&self, age: Age) -> Option<usize> {
-        if self.op.is_empty() || age < self.age0 {
-            return None;
+        // One compare covers both ends: an age below `age0` wraps high.
+        if age.wrapping_sub(self.age0) < self.len as u64 {
+            Some((age & self.mask) as usize)
+        } else {
+            None
         }
-        let i = (age - self.age0) as usize;
-        debug_assert!(i < self.op.len(), "age {age} beyond the ROB window");
-        Some(i)
+    }
+
+    /// Slot of the oldest entry, if any.
+    #[inline]
+    fn head(&self) -> Option<usize> {
+        (self.len > 0).then_some((self.age0 & self.mask) as usize)
+    }
+
+    /// The in-flight ops, oldest first.
+    fn ops(&self) -> impl Iterator<Item = MicroOp> + '_ {
+        (self.age0..self.age0 + self.len as u64).map(|a| self.op[(a & self.mask) as usize])
     }
 
     fn push_back(&mut self, age: Age, op: MicroOp, waiting: u8, consumers: Vec<Age>) {
-        if self.op.is_empty() {
+        if self.len == 0 {
             self.age0 = age;
         }
-        debug_assert_eq!(
-            self.age0 + self.op.len() as u64,
-            age,
-            "ROB ages must be dense"
+        assert!(
+            self.age0 + self.len as u64 == age && (self.len as u64) <= self.mask,
+            "ROB ages must be dense and fit the ring (age {age}, window {}+{})",
+            self.age0,
+            self.len
         );
-        self.op.push_back(op);
-        self.state.push_back(ExecState::Waiting);
-        self.mem_phase.push_back(MemPhase::PreAgen);
-        self.waiting_on.push_back(waiting);
-        self.consumers.push_back(consumers);
+        let slot = (age & self.mask) as usize;
+        self.op[slot] = op;
+        self.state[slot] = ExecState::Waiting;
+        self.mem_phase[slot] = MemPhase::PreAgen;
+        self.waiting_on[slot] = waiting;
+        self.consumers[slot] = consumers;
+        self.len += 1;
     }
 
     /// Pop the front entry, returning its consumer list for recycling.
     fn pop_front(&mut self) -> Vec<Age> {
+        let slot = self.head().expect("pop from an empty ROB");
         self.age0 += 1;
-        self.op.pop_front();
-        self.state.pop_front();
-        self.mem_phase.pop_front();
-        self.waiting_on.pop_front();
-        self.consumers.pop_front().expect("pop from an empty ROB")
+        self.len -= 1;
+        std::mem::take(&mut self.consumers[slot])
     }
 
     /// Drop every entry, recycling consumer lists into `pool`.
     fn clear_into(&mut self, pool: &mut Vec<Vec<Age>>) {
-        self.op.clear();
-        self.state.clear();
-        self.mem_phase.clear();
-        self.waiting_on.clear();
-        for mut consumers in self.consumers.drain(..) {
+        for a in self.age0..self.age0 + self.len as u64 {
+            let mut consumers = std::mem::take(&mut self.consumers[(a & self.mask) as usize]);
             consumers.clear();
             pool.push(consumers);
         }
+        self.len = 0;
     }
 
     /// Front-entry summary for the watchdog panic message.
     fn front_debug(&self) -> Option<(Age, OpClass, ExecState, MemPhase)> {
-        if self.is_empty() {
-            None
-        } else {
-            Some((
+        self.head().map(|h| {
+            (
                 self.age0,
-                self.op[0].class,
-                self.state[0],
-                self.mem_phase[0],
-            ))
+                self.op[h].class,
+                self.state[h],
+                self.mem_phase[h],
+            )
+        })
+    }
+}
+
+/// Scheduled completions on a timing wheel. The ages due at cycle `c`
+/// sit in bucket `c & mask`, and bit `c & mask` of `occupied` is set
+/// while that bucket is non-empty. Every completion is scheduled into
+/// `(now, now + horizon)` and each cycle's bucket is drained when the
+/// clock reaches it, so a bucket never mixes two cycles.
+#[derive(Debug)]
+struct CompletionWheel {
+    buckets: Box<[Vec<Age>]>,
+    occupied: Box<[u64]>,
+    /// `horizon - 1` (the horizon is a power of two).
+    mask: u64,
+}
+
+impl CompletionWheel {
+    fn new(horizon: usize) -> Self {
+        assert!(horizon.is_power_of_two(), "wheel horizon {horizon}");
+        CompletionWheel {
+            buckets: (0..horizon).map(|_| Vec::new()).collect(),
+            occupied: vec![0; horizon.div_ceil(64)].into_boxed_slice(),
+            mask: horizon as u64 - 1,
         }
     }
+
+    /// Schedule `age` to complete at `cycle`.
+    #[inline]
+    fn push(&mut self, now: u64, cycle: u64, age: Age) {
+        assert!(
+            now < cycle && cycle - now <= self.mask,
+            "completion at cycle {cycle} outside the wheel's horizon from {now}"
+        );
+        let b = (cycle & self.mask) as usize;
+        self.buckets[b].push(age);
+        self.occupied[b / 64] |= 1 << (b % 64);
+    }
+
+    /// Move the ages due at `now` into `out` (emptied first), oldest
+    /// first: that order decides the order addresses reach the LSQ.
+    #[inline]
+    fn drain_due(&mut self, now: u64, out: &mut Vec<Age>) {
+        out.clear();
+        let b = (now & self.mask) as usize;
+        let bit = 1u64 << (b % 64);
+        if self.occupied[b / 64] & bit != 0 {
+            self.occupied[b / 64] &= !bit;
+            std::mem::swap(&mut self.buckets[b], out);
+            out.sort_unstable();
+        }
+    }
+
+    /// The earliest cycle at or after `now` with a completion due.
+    fn earliest(&self, now: u64) -> Option<u64> {
+        let start = (now & self.mask) as usize;
+        let (w0, s) = (start / 64, start % 64);
+        let words = self.occupied.len();
+        // Wheel order from `start`: the start word from bit `s` up, the
+        // following words, then the start word below bit `s`.
+        let mut pos = None;
+        for k in 0..=words {
+            let w = (w0 + k) % words;
+            let bits = match k {
+                0 => self.occupied[w] >> s << s,
+                _ if k == words => self.occupied[w] & ((1u64 << s) - 1),
+                _ => self.occupied[w],
+            };
+            if bits != 0 {
+                pos = Some(w * 64 + bits.trailing_zeros() as usize);
+                break;
+            }
+        }
+        pos.map(|p| now + ((p as u64).wrapping_sub(start as u64) & self.mask))
+    }
+
+    /// Drop every scheduled completion.
+    fn clear(&mut self) {
+        for (w, word) in self.occupied.iter_mut().enumerate() {
+            while *word != 0 {
+                self.buckets[w * 64 + word.trailing_zeros() as usize].clear();
+                *word &= *word - 1;
+            }
+        }
+    }
+}
+
+/// The wheel's horizon for `cfg`: the next power of two above the
+/// longest latency anything can be scheduled with — the slowest
+/// functional unit, or a load that misses the D-TLB, L1D and L2.
+fn completion_horizon(cfg: &SimConfig) -> usize {
+    let fu = OpClass::ALL
+        .iter()
+        .map(|&c| exec_latency(c).cycles as u64)
+        .max()
+        .unwrap_or(1);
+    let m = &cfg.mem;
+    let load = m.l1d.hit_latency as u64
+        + m.dtlb_miss_penalty as u64
+        + m.l2.hit_latency as u64
+        + m.mem_latency as u64;
+    (fu.max(load).max(1) as usize + 1).next_power_of_two()
 }
 
 /// The simulator. Generic over the LSQ design (`L`) and trace source
@@ -245,7 +367,7 @@ pub struct Simulator<L: LoadStoreQueue, T: TraceSource> {
     /// not been disambiguated against anything).
     lsq_retry: VecDeque<Age>,
 
-    completions: BinaryHeap<Reverse<(u64, Age)>>,
+    completions: CompletionWheel,
 
     stats: SimStats,
     last_commit_cycle: u64,
@@ -256,9 +378,9 @@ pub struct Simulator<L: LoadStoreQueue, T: TraceSource> {
     /// `stats.cycles`; kept separately for diagnostics/profiling).
     skipped_cycles: u64,
     scratch_promoted: Vec<Age>,
-    /// Per-cycle working copy of a ready set / the pending loads (reused
-    /// so the stages allocate nothing in steady state).
-    scratch_ages: Vec<Age>,
+    /// The completions due this cycle (reused so the stage allocates
+    /// nothing in steady state).
+    scratch_due: Vec<Age>,
     /// Recycled consumer lists (capacity survives an op's retirement, so
     /// wake-up registration stops allocating once the pool is warm).
     consumer_pool: Vec<Vec<Age>>,
@@ -294,13 +416,13 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
             pending_loads: AgeSet::new(),
             unknown_store_addrs: AgeSet::new(),
             lsq_retry: VecDeque::new(),
-            completions: BinaryHeap::new(),
+            completions: CompletionWheel::new(completion_horizon(&cfg)),
             stats: SimStats::default(),
             last_commit_cycle: 0,
             skip_enabled: true,
             skipped_cycles: 0,
             scratch_promoted: Vec::new(),
-            scratch_ages: Vec::new(),
+            scratch_due: Vec::new(),
             consumer_pool: Vec::new(),
             cfg,
             lsq,
@@ -475,7 +597,7 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
         let mut wake = u64::MAX;
         // The three timers that can unblock an idle pipeline:
         // a scheduled completion...
-        if let Some(&Reverse((cycle, _))) = self.completions.peek() {
+        if let Some(cycle) = self.completions.earliest(now) {
             wake = wake.min(cycle);
         }
         // ...fetch resuming after a redirect/I-miss penalty (irrelevant
@@ -513,19 +635,16 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
     // ---- stage 1: completion ------------------------------------------
 
     fn complete_stage(&mut self) -> u64 {
-        let mut events = 0;
-        while let Some(&Reverse((cycle, age))) = self.completions.peek() {
-            if cycle > self.now {
-                break;
-            }
-            self.completions.pop();
-            events += 1;
+        let mut due = std::mem::take(&mut self.scratch_due);
+        self.completions.drain_due(self.now, &mut due);
+        for &age in &due {
             // The op may have been flushed since scheduling.
-            if self.rob.index(age).is_none() {
-                continue;
+            if self.rob.index(age).is_some() {
+                self.finish_execution(age);
             }
-            self.finish_execution(age);
         }
+        let events = due.len() as u64;
+        self.scratch_due = due;
         events
     }
 
@@ -657,9 +776,9 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
         // commit — everything older is gone and younger ops hold the
         // entries — so flush and replay. The tick above already gave
         // promotion its chance this cycle.
-        if !self.rob.is_empty() {
+        if let Some(head) = self.rob.head() {
             let head_age = self.rob.age0;
-            if self.rob.op[0].class.is_mem() {
+            if self.rob.op[head].class.is_mem() {
                 if self.lsq.is_buffered(head_age) {
                     self.stats.deadlock_flushes += 1;
                     self.flush_pipeline();
@@ -674,11 +793,14 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
         }
         let mut events = 0;
         for _ in 0..self.cfg.commit_width {
-            if self.rob.is_empty() || self.rob.state[0] != ExecState::Done {
+            let Some(head) = self.rob.head() else {
+                break;
+            };
+            if self.rob.state[head] != ExecState::Done {
                 break;
             }
             let age = self.rob.age0;
-            let op = self.rob.op[0];
+            let op = self.rob.op[head];
             match op.class {
                 OpClass::Store => {
                     // The cache write needs a port; without one, commit
@@ -749,55 +871,49 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
 
     fn memory_issue_stage(&mut self) -> u64 {
         let mut events = 0;
-        // Oldest-first among disambiguation-ready loads (working copy: the
-        // set is edited mid-walk).
-        let mut candidates = std::mem::take(&mut self.scratch_ages);
-        candidates.clear();
-        candidates.extend_from_slice(self.pending_loads.as_slice());
-        for &age in &candidates {
+        // Oldest-first among disambiguation-ready loads, compacting the
+        // set in place as loads leave it (nothing joins it this stage).
+        let mut pending = std::mem::take(&mut self.pending_loads);
+        pending.retain_oldest_first(|age| {
             let Some(i) = self.rob.index(age) else {
-                self.pending_loads.remove(age);
                 events += 1;
-                continue;
+                return Some(false);
             };
+            // readyBit: every older store address must be known. The
+            // loads ascend and this stage learns no store address, so
+            // once a load fails the test every younger one does too.
+            if self.unknown_store_addrs.any_below(age) {
+                return None;
+            }
             // A buffered load cannot be disambiguated yet (§3.1).
             if self.lsq.is_buffered(age) {
-                continue;
+                return Some(true);
             }
-            // readyBit: every older store address must be known.
-            if self.unknown_store_addrs.any_below(age) {
-                continue;
-            }
-            match self.lsq.load_forward_status(age) {
-                ForwardStatus::Wait => continue,
+            let latency = match self.lsq.load_forward_status(age) {
+                ForwardStatus::Wait => return Some(true),
                 ForwardStatus::Forward { store } => {
                     self.lsq.take_forward(age, store);
-                    self.lsq.load_data_arrived(age);
                     self.stats.forwarded_loads += 1;
-                    self.pending_loads.remove(age);
-                    self.rob.mem_phase[i] = MemPhase::Finished;
-                    self.rob.state[i] = ExecState::Executing;
-                    self.completions.push(Reverse((self.now + 1, age)));
-                    events += 1;
+                    1
                 }
                 ForwardStatus::AccessCache => {
                     if !self.fu.available(FuKind::MemPort, self.now) {
-                        break; // out of ports this cycle
+                        return None; // out of ports this cycle
                     }
                     self.fu.try_issue(OpClass::Load, self.now);
                     let op = self.rob.op[i];
-                    let latency = self.dcache_access(age, op, AccessKind::Read);
-                    self.lsq.load_data_arrived(age);
-                    self.pending_loads.remove(age);
-                    self.rob.mem_phase[i] = MemPhase::Finished;
-                    self.rob.state[i] = ExecState::Executing;
-                    self.completions
-                        .push(Reverse((self.now + latency.max(1) as u64, age)));
-                    events += 1;
+                    self.dcache_access(age, op, AccessKind::Read).max(1)
                 }
-            }
-        }
-        self.scratch_ages = candidates;
+            };
+            self.lsq.load_data_arrived(age);
+            self.rob.mem_phase[i] = MemPhase::Finished;
+            self.rob.state[i] = ExecState::Executing;
+            self.completions
+                .push(self.now, self.now + latency as u64, age);
+            events += 1;
+            Some(false)
+        });
+        self.pending_loads = pending;
         events
     }
 
@@ -814,13 +930,12 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
             self.cfg.issue_width_int
         };
         let mut events = 0;
-        // Working copy: the ready set is edited as ops issue.
-        let mut ready = std::mem::take(&mut self.scratch_ages);
-        ready.clear();
-        ready.extend_from_slice(if fp {
-            self.ready_fp.as_slice()
+        // The set is walked and compacted in place: nothing inserts into a
+        // ready set during issue, and an op leaves it when it issues.
+        let mut ready = std::mem::take(if fp {
+            &mut self.ready_fp
         } else {
-            self.ready_int.as_slice()
+            &mut self.ready_int
         });
         let mut issued = 0;
         // Unit pools only get busier within a cycle, so once a kind
@@ -833,19 +948,14 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
         } else {
             1u8 << FuKind::IntAlu as u8 | 1u8 << FuKind::IntMulDiv as u8
         };
-        for &age in &ready {
+        ready.retain_oldest_first(|age| {
             if issued == width {
-                break;
+                return None;
             }
             let Some(i) = self.rob.index(age) else {
                 // Flushed while ready.
-                if fp {
-                    self.ready_fp.remove(age);
-                } else {
-                    self.ready_int.remove(age);
-                }
                 events += 1;
-                continue;
+                return Some(false);
             };
             let class = self.rob.op[i].class;
             // Memory ops run their address generation on an integer ALU.
@@ -856,28 +966,31 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
             };
             let kind_bit = 1u8 << trace_isa::latency::fu_kind(agen_class) as u8;
             if exhausted_kinds & kind_bit != 0 {
-                continue; // structural hazard; try a younger ready op
+                return Some(true); // structural hazard; try a younger ready op
             }
             let Some(done) = self.fu.try_issue(agen_class, self.now) else {
                 exhausted_kinds |= kind_bit;
                 if exhausted_kinds & side_kinds == side_kinds {
-                    break;
+                    return None;
                 }
-                continue; // structural hazard; try a younger ready op
+                return Some(true); // structural hazard; try a younger ready op
             };
             self.rob.state[i] = ExecState::Executing;
-            if class.is_fp() {
+            if fp {
                 self.iq_fp -= 1;
-                self.ready_fp.remove(age);
             } else {
                 self.iq_int -= 1;
-                self.ready_int.remove(age);
             }
-            self.completions.push(Reverse((done, age)));
+            self.completions.push(self.now, done, age);
             issued += 1;
             events += 1;
+            Some(false)
+        });
+        if fp {
+            self.ready_fp = ready;
+        } else {
+            self.ready_int = ready;
         }
-        self.scratch_ages = ready;
         events
     }
 
@@ -1026,7 +1139,7 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
 
     /// Whole-pipeline flush (§3.3): every uncommitted op is replayed.
     fn flush_pipeline(&mut self) {
-        let mut replay: VecDeque<MicroOp> = self.rob.op.iter().copied().collect();
+        let mut replay: VecDeque<MicroOp> = self.rob.ops().collect();
         replay.extend(self.fetch_queue.iter().map(|&(_, op)| op));
         replay.append(&mut self.replay);
         self.replay = replay;
@@ -1044,5 +1157,138 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
         self.fetch_blocked_on = None;
         self.fetch_resume_at = self.now + 1 + self.cfg.mispredict_redirect as u64;
         self.lsq.flush_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// Deterministic splitmix64 (the same stand-in for a property-test
+    /// RNG as `samie_lsq::agering`'s tests).
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// The wheel against the `BinaryHeap` it replaced, on horizons below,
+    /// at and above one bitmap word: random pushes (several ages often
+    /// share a cycle), per-cycle drains in `(cycle, age)` order, the
+    /// `earliest` answer before every step, jumps of the clock as
+    /// `skip_ahead` makes them, and occasional clears.
+    #[test]
+    fn wheel_matches_a_binary_heap() {
+        for horizon in [16usize, 64, 256] {
+            let mut wheel = CompletionWheel::new(horizon);
+            let mut heap: BinaryHeap<Reverse<(u64, Age)>> = BinaryHeap::new();
+            let mut rng = 0xc0ffee ^ horizon as u64;
+            let (mut now, mut next_age) = (0u64, 1u64);
+            let mut due = Vec::new();
+            for step in 0..(1u64 << 16) {
+                assert_eq!(
+                    wheel.earliest(now),
+                    heap.peek().map(|r| r.0 .0),
+                    "horizon {horizon} step {step} now {now}"
+                );
+                due.clear();
+                while heap.peek().is_some_and(|r| r.0 .0 == now) {
+                    due.push(heap.pop().unwrap().0 .1);
+                }
+                let mut drained = Vec::new();
+                wheel.drain_due(now, &mut drained);
+                assert_eq!(drained, due, "horizon {horizon} step {step} now {now}");
+
+                let roll = splitmix(&mut rng);
+                for k in 0..roll % 4 {
+                    // Ages complete out of age order, like the pipeline's.
+                    let age = next_age + (roll >> (8 + k)) % 8;
+                    let latency = 1 + (roll >> (16 + 8 * k)) % (horizon as u64 - 1);
+                    wheel.push(now, now + latency, age);
+                    heap.push(Reverse((now + latency, age)));
+                }
+                next_age += 8;
+                if roll.is_multiple_of(1024) {
+                    wheel.clear();
+                    heap.clear();
+                    assert_eq!(wheel.earliest(now), None);
+                    assert!(wheel.occupied.iter().all(|&w| w == 0));
+                    assert!(wheel.buckets.iter().all(Vec::is_empty));
+                }
+                // Step one cycle, or jump to the next completion.
+                now = match heap.peek() {
+                    Some(r) if roll.is_multiple_of(3) => r.0 .0,
+                    _ => now + 1,
+                };
+            }
+            assert!(now > 64 * horizon as u64, "the clock must lap the wheel");
+        }
+    }
+
+    /// The age-indexed ring through many power-of-two wraps: a sliding
+    /// window of dense ages against a reference deque, with flushes
+    /// mid-window. `index` must answer `None` outside `[age0, age0 + len)`
+    /// and after `clear_into`, even where the slot is recycled.
+    #[test]
+    fn rob_ring_indexes_exactly_the_live_window() {
+        let cap = 12; // 16 slots
+        let mut rob = Rob::with_capacity(cap);
+        let mut model: VecDeque<(Age, u64)> = VecDeque::new();
+        let mut pool = Vec::new();
+        let mut rng = 0x5eed_u64;
+        let mut next_age = 1u64;
+        let (mut flushes, mut last_age0) = (0, 0);
+        for step in 0..(1u64 << 16) {
+            let roll = splitmix(&mut rng);
+            if roll.is_multiple_of(512) {
+                rob.clear_into(&mut pool);
+                for &(age, _) in &model {
+                    assert_eq!(rob.index(age), None, "step {step}: flushed age {age}");
+                }
+                model.clear();
+                flushes += 1;
+                // Flushed ages are never re-used.
+                next_age += 1 + roll % 5;
+            } else if roll.is_multiple_of(3) && !model.is_empty() {
+                rob.pop_front();
+                model.pop_front();
+            } else if model.len() < cap {
+                let op = MicroOp::alu(roll, [0, 0]);
+                rob.push_back(next_age, op, 0, Vec::new());
+                model.push_back((next_age, roll));
+                next_age += 1;
+            }
+            assert_eq!(rob.len(), model.len());
+            if let Some(&(age0, pc)) = model.front() {
+                assert_eq!(rob.age0, age0);
+                assert_eq!(rob.op[rob.head().unwrap()].pc, pc);
+                last_age0 = age0;
+            } else {
+                assert_eq!(rob.head(), None);
+            }
+            assert!(rob
+                .ops()
+                .map(|op| op.pc)
+                .eq(model.iter().map(|&(_, pc)| pc)));
+            for probe in last_age0.saturating_sub(20)..next_age + 20 {
+                let live = model.iter().position(|&(a, _)| a == probe);
+                match (rob.index(probe), live) {
+                    (None, None) => {}
+                    (Some(slot), Some(k)) => {
+                        assert_eq!(slot as u64, probe & 15);
+                        assert_eq!(rob.op[slot].pc, model[k].1, "step {step} age {probe}");
+                    }
+                    (got, want) => panic!("step {step} age {probe}: {got:?} vs {want:?}"),
+                }
+            }
+        }
+        assert!(
+            flushes > 16 && next_age > 16 * 1024,
+            "must flush and wrap many times"
+        );
     }
 }

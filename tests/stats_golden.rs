@@ -81,7 +81,9 @@ fn stats_match_the_committed_golden_across_the_matrix() {
         }
     }
     for ((design, workload), want) in &expected {
-        mismatches.push(format!("{design}\t{workload}\t(not simulated; golden {want:032x})"));
+        mismatches.push(format!(
+            "{design}\t{workload}\t(not simulated; golden {want:032x})"
+        ));
     }
     assert!(
         mismatches.is_empty(),
