@@ -39,8 +39,8 @@
 //! bucket `cycle & mask` plus an occupancy bitmap, with a horizon sized
 //! once from the configuration's longest latency. The complete stage
 //! drains exactly the current cycle's bucket in age order. The ready
-//! sets and the pending loads are sorted age vectors walked oldest-first
-//! and compacted in the same pass.
+//! sets are sorted age vectors walked oldest-first and compacted in the
+//! same pass.
 //!
 //! Every stage reports how many units of work it performed. A cycle with
 //! zero events across all stages cannot unblock itself: every gate is a
@@ -378,9 +378,10 @@ pub struct Simulator<L: LoadStoreQueue, T: TraceSource> {
     /// `stats.cycles`; kept separately for diagnostics/profiling).
     skipped_cycles: u64,
     scratch_promoted: Vec<Age>,
-    /// The completions due this cycle (reused so the stage allocates
-    /// nothing in steady state).
-    scratch_due: Vec<Age>,
+    /// Per-cycle working list: the completions due / a copy of the
+    /// pending loads (reused so the stages allocate nothing in steady
+    /// state).
+    scratch_ages: Vec<Age>,
     /// Recycled consumer lists (capacity survives an op's retirement, so
     /// wake-up registration stops allocating once the pool is warm).
     consumer_pool: Vec<Vec<Age>>,
@@ -422,7 +423,7 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
             skip_enabled: true,
             skipped_cycles: 0,
             scratch_promoted: Vec::new(),
-            scratch_due: Vec::new(),
+            scratch_ages: Vec::new(),
             consumer_pool: Vec::new(),
             cfg,
             lsq,
@@ -635,7 +636,7 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
     // ---- stage 1: completion ------------------------------------------
 
     fn complete_stage(&mut self) -> u64 {
-        let mut due = std::mem::take(&mut self.scratch_due);
+        let mut due = std::mem::take(&mut self.scratch_ages);
         self.completions.drain_due(self.now, &mut due);
         for &age in &due {
             // The op may have been flushed since scheduling.
@@ -644,7 +645,7 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
             }
         }
         let events = due.len() as u64;
-        self.scratch_due = due;
+        self.scratch_ages = due;
         events
     }
 
@@ -871,49 +872,57 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
 
     fn memory_issue_stage(&mut self) -> u64 {
         let mut events = 0;
-        // Oldest-first among disambiguation-ready loads, compacting the
-        // set in place as loads leave it (nothing joins it this stage).
-        let mut pending = std::mem::take(&mut self.pending_loads);
-        pending.retain_oldest_first(|age| {
+        // Oldest-first among disambiguation-ready loads (working copy: the
+        // set is edited mid-walk).
+        let mut candidates = std::mem::take(&mut self.scratch_ages);
+        candidates.clear();
+        candidates.extend_from_slice(self.pending_loads.as_slice());
+        for &age in &candidates {
             let Some(i) = self.rob.index(age) else {
+                self.pending_loads.remove(age);
                 events += 1;
-                return Some(false);
+                continue;
             };
             // readyBit: every older store address must be known. The
-            // loads ascend and this stage learns no store address, so
-            // once a load fails the test every younger one does too.
+            // candidates ascend and this stage learns no store address,
+            // so once a load fails the test every younger one does too.
             if self.unknown_store_addrs.any_below(age) {
-                return None;
+                break;
             }
             // A buffered load cannot be disambiguated yet (§3.1).
             if self.lsq.is_buffered(age) {
-                return Some(true);
+                continue;
             }
-            let latency = match self.lsq.load_forward_status(age) {
-                ForwardStatus::Wait => return Some(true),
+            match self.lsq.load_forward_status(age) {
+                ForwardStatus::Wait => continue,
                 ForwardStatus::Forward { store } => {
                     self.lsq.take_forward(age, store);
+                    self.lsq.load_data_arrived(age);
                     self.stats.forwarded_loads += 1;
-                    1
+                    self.pending_loads.remove(age);
+                    self.rob.mem_phase[i] = MemPhase::Finished;
+                    self.rob.state[i] = ExecState::Executing;
+                    self.completions.push(self.now, self.now + 1, age);
+                    events += 1;
                 }
                 ForwardStatus::AccessCache => {
                     if !self.fu.available(FuKind::MemPort, self.now) {
-                        return None; // out of ports this cycle
+                        break; // out of ports this cycle
                     }
                     self.fu.try_issue(OpClass::Load, self.now);
                     let op = self.rob.op[i];
-                    self.dcache_access(age, op, AccessKind::Read).max(1)
+                    let latency = self.dcache_access(age, op, AccessKind::Read);
+                    self.lsq.load_data_arrived(age);
+                    self.pending_loads.remove(age);
+                    self.rob.mem_phase[i] = MemPhase::Finished;
+                    self.rob.state[i] = ExecState::Executing;
+                    self.completions
+                        .push(self.now, self.now + latency.max(1) as u64, age);
+                    events += 1;
                 }
-            };
-            self.lsq.load_data_arrived(age);
-            self.rob.mem_phase[i] = MemPhase::Finished;
-            self.rob.state[i] = ExecState::Executing;
-            self.completions
-                .push(self.now, self.now + latency as u64, age);
-            events += 1;
-            Some(false)
-        });
-        self.pending_loads = pending;
+            }
+        }
+        self.scratch_ages = candidates;
         events
     }
 
