@@ -378,9 +378,12 @@ pub struct Simulator<L: LoadStoreQueue, T: TraceSource> {
     /// `stats.cycles`; kept separately for diagnostics/profiling).
     skipped_cycles: u64,
     scratch_promoted: Vec<Age>,
-    /// Per-cycle working list: the completions due / a copy of the
-    /// pending loads (reused so the stages allocate nothing in steady
-    /// state).
+    /// The completions due this cycle. It trades places with a wheel
+    /// bucket every cycle, so it must not share capacity with a
+    /// longer-lived list: each bucket would keep the larger capacity.
+    scratch_due: Vec<Age>,
+    /// Per-cycle working copy of the pending loads (reused so the stage
+    /// allocates nothing in steady state).
     scratch_ages: Vec<Age>,
     /// Recycled consumer lists (capacity survives an op's retirement, so
     /// wake-up registration stops allocating once the pool is warm).
@@ -423,6 +426,7 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
             skip_enabled: true,
             skipped_cycles: 0,
             scratch_promoted: Vec::new(),
+            scratch_due: Vec::new(),
             scratch_ages: Vec::new(),
             consumer_pool: Vec::new(),
             cfg,
@@ -636,7 +640,7 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
     // ---- stage 1: completion ------------------------------------------
 
     fn complete_stage(&mut self) -> u64 {
-        let mut due = std::mem::take(&mut self.scratch_ages);
+        let mut due = std::mem::take(&mut self.scratch_due);
         self.completions.drain_due(self.now, &mut due);
         for &age in &due {
             // The op may have been flushed since scheduling.
@@ -645,7 +649,7 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
             }
         }
         let events = due.len() as u64;
-        self.scratch_ages = due;
+        self.scratch_due = due;
         events
     }
 
