@@ -19,7 +19,7 @@ fn run(design: &DesignSpec, workload: &Workload, skip: bool) -> (SimStats, u64) 
 }
 
 /// The full 6-family × catalog matrix (26 calibrated benchmarks plus the
-/// adversarial pack), skip on vs skip off.
+/// adversarial pack), with two more ARB geometries, skip on vs skip off.
 #[test]
 fn skipping_is_bit_invisible_across_the_design_workload_matrix() {
     let designs: Vec<DesignSpec> = vec![
@@ -29,6 +29,10 @@ fn skipping_is_bit_invisible_across_the_design_workload_matrix() {
         "arb".parse().unwrap(),
         DesignSpec::Unbounded,
         DesignSpec::Oracle,
+        // Figure 1's extreme geometries: one fully associative bank, and
+        // direct-mapped banks that keep the ARB retry queue busy.
+        "arb:1x128:if128".parse().unwrap(),
+        "arb:128x1:if64".parse().unwrap(),
     ];
     let mut total_skipped = 0;
     for workload in all_workloads() {

@@ -22,7 +22,8 @@ use trace_isa::fingerprint128;
 
 const GOLDEN: &str = include_str!("golden/stats_matrix.tsv");
 
-/// The design list of `tests/cycle_skip.rs`: one point per family.
+/// The design list of `tests/cycle_skip.rs`: one point per family, plus
+/// two more ARB geometries.
 fn designs() -> Vec<DesignSpec> {
     vec![
         DesignSpec::conventional_paper(),
@@ -31,6 +32,10 @@ fn designs() -> Vec<DesignSpec> {
         "arb".parse().unwrap(),
         DesignSpec::Unbounded,
         DesignSpec::Oracle,
+        // Figure 1's extreme geometries: one fully associative bank, and
+        // direct-mapped banks that keep the ARB retry queue busy.
+        "arb:1x128:if128".parse().unwrap(),
+        "arb:128x1:if64".parse().unwrap(),
     ]
 }
 
