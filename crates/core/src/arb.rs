@@ -13,8 +13,9 @@
 //! lose as much as 28 % IPC.
 
 use crate::activity::LsqActivity;
+use crate::agering::AgeRing;
 use crate::traits::{CachePlan, LoadStoreQueue};
-use crate::types::{Age, AgeMap, ForwardStatus, LsqOccupancy, MemOp, PlaceOutcome};
+use crate::types::{Age, ForwardStatus, LsqOccupancy, MemOp, PlaceOutcome};
 
 /// ARB geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,11 +83,16 @@ struct Row {
 }
 
 /// Franklin & Sohi ARB.
+///
+/// Occupancy is kept in `rows_used`, updated where a row fills or
+/// empties, so a cycle's housekeeping never rescans the rows.
 #[derive(Debug, Clone)]
 pub struct ArbLsq {
     cfg: ArbConfig,
     rows: Vec<Row>, // banks * rows_per_bank, row-major by bank
-    ops: AgeMap<ArbOp>,
+    /// Rows holding at least one op.
+    rows_used: usize,
+    ops: AgeRing<ArbOp>,
     /// Buffered ages in arrival (FIFO) order.
     retry: Vec<Age>,
     inflight: usize,
@@ -100,7 +106,9 @@ impl ArbLsq {
         ArbLsq {
             cfg,
             rows: vec![Row::default(); cfg.banks * cfg.rows_per_bank],
-            ops: AgeMap::default(),
+            rows_used: 0,
+            // At most `max_inflight` ops, so the ring never grows.
+            ops: AgeRing::with_capacity(cfg.max_inflight * 2),
             retry: Vec::new(),
             inflight: 0,
             activity: LsqActivity::default(),
@@ -121,44 +129,76 @@ impl ArbLsq {
         bank as usize * self.cfg.rows_per_bank + row as usize
     }
 
-    /// Try to place `age` (address already known). Returns true on success.
-    fn try_place(&mut self, age: Age) -> bool {
-        let op = self.ops[&age].op;
-        let word = op.mref.addr >> WORD_SHIFT;
-        let bank = self.bank_of(word);
-        // Matching row?
+    /// The tracked state of an in-flight op (every age the simulator
+    /// asks about is between dispatch and commit, so the lookup hits).
+    #[inline]
+    fn op(&self, age: Age) -> &ArbOp {
+        self.ops.get(age).expect("unknown op")
+    }
+
+    #[inline]
+    fn word_of(&self, age: Age) -> u64 {
+        self.op(age).op.mref.addr >> WORD_SHIFT
+    }
+
+    /// The row of `word`'s bank that would take it: the row already
+    /// holding `word`, else the first free row.
+    fn find_row(&self, bank: u32, word: u64) -> Option<u32> {
         let mut free: Option<u32> = None;
         for r in 0..self.cfg.rows_per_bank as u32 {
-            let slot = self.row_slot(bank, r);
-            let row = &self.rows[slot];
+            let row = &self.rows[self.row_slot(bank, r)];
             if row.ages.is_empty() {
                 free.get_or_insert(r);
             } else if row.word == word {
-                self.rows[slot].ages.push(age);
-                self.ops.get_mut(&age).unwrap().stage = Stage::Placed { bank, row: r };
-                return true;
+                return Some(r);
             }
         }
-        if let Some(r) = free {
-            let slot = self.row_slot(bank, r);
-            self.rows[slot].word = word;
-            self.rows[slot].ages.push(age);
-            self.ops.get_mut(&age).unwrap().stage = Stage::Placed { bank, row: r };
-            return true;
+        free
+    }
+
+    /// Try to place `age` (address already known). Returns true on success.
+    fn try_place(&mut self, age: Age) -> bool {
+        let word = self.word_of(age);
+        let bank = self.bank_of(word);
+        let Some(r) = self.find_row(bank, word) else {
+            return false;
+        };
+        let slot = self.row_slot(bank, r);
+        let row = &mut self.rows[slot];
+        if row.ages.is_empty() {
+            row.word = word;
+            self.rows_used += 1;
         }
-        false
+        row.ages.push(age);
+        self.ops.get_mut(age).unwrap().stage = Stage::Placed { bank, row: r };
+        true
     }
 
     fn remove_placed(&mut self, age: Age, stage: Stage) {
         if let Stage::Placed { bank, row } = stage {
             let slot = self.row_slot(bank, row);
-            self.rows[slot].ages.retain(|&a| a != age);
+            let ages = &mut self.rows[slot].ages;
+            ages.retain(|&a| a != age);
+            if ages.is_empty() {
+                self.rows_used -= 1;
+            }
         }
     }
 
-    /// Rows currently in use (occupancy metric).
-    fn rows_in_use(&self) -> usize {
+    /// Rows in use by a full scan: the reference `rows_used` is checked
+    /// against.
+    #[cfg(any(test, debug_assertions))]
+    fn recount_rows(&self) -> usize {
         self.rows.iter().filter(|r| !r.ages.is_empty()).count()
+    }
+
+    /// Debug check backing `tick_idle`: no buffered op has a row to go to.
+    #[cfg(debug_assertions)]
+    fn no_row_for_any_buffered(&self) -> bool {
+        self.retry.iter().all(|&a| {
+            let word = self.word_of(a);
+            self.find_row(self.bank_of(word), word).is_none()
+        })
     }
 }
 
@@ -190,24 +230,24 @@ impl LoadStoreQueue for ArbLsq {
     }
 
     fn address_ready(&mut self, age: Age) -> PlaceOutcome {
-        debug_assert_eq!(self.ops[&age].stage, Stage::Dispatched);
+        debug_assert_eq!(self.op(age).stage, Stage::Dispatched);
         if self.try_place(age) {
             PlaceOutcome::Placed
         } else {
-            self.ops.get_mut(&age).unwrap().stage = Stage::Buffered;
+            self.ops.get_mut(age).unwrap().stage = Stage::Buffered;
             self.retry.push(age);
             PlaceOutcome::Buffered
         }
     }
 
     fn store_executed(&mut self, age: Age) {
-        let op = self.ops.get_mut(&age).expect("unknown store");
+        let op = self.ops.get_mut(age).expect("unknown store");
         debug_assert!(op.op.is_store);
         op.data_ready = true;
     }
 
     fn load_forward_status(&mut self, age: Age) -> ForwardStatus {
-        let load = self.ops[&age];
+        let load = *self.op(age);
         let Stage::Placed { bank, row } = load.stage else {
             // A buffered load cannot be disambiguated yet.
             return ForwardStatus::Wait;
@@ -216,7 +256,7 @@ impl LoadStoreQueue for ArbLsq {
         // disambiguated; the load must wait for its placement.
         if self.retry.iter().any(|&a| {
             a < age && {
-                let o = &self.ops[&a];
+                let o = self.op(a);
                 o.op.is_store && o.op.mref.overlaps(load.op.mref)
             }
         }) {
@@ -229,7 +269,7 @@ impl LoadStoreQueue for ArbLsq {
             if a >= age {
                 continue;
             }
-            let cand = &self.ops[&a];
+            let cand = self.op(a);
             if cand.op.is_store && cand.op.mref.overlaps(load.op.mref) {
                 match best {
                     Some(b) if b.op.age > a => {}
@@ -263,7 +303,7 @@ impl LoadStoreQueue for ArbLsq {
     fn on_line_replaced(&mut self, _set: u32, _way: u32) {}
 
     fn commit(&mut self, age: Age) {
-        let op = self.ops.remove(&age).expect("commit of unknown op");
+        let op = self.ops.remove(age).expect("commit of unknown op");
         debug_assert!(
             !matches!(op.stage, Stage::Buffered),
             "simulator must flush, not commit, a buffered ROB head"
@@ -274,9 +314,14 @@ impl LoadStoreQueue for ArbLsq {
     }
 
     fn squash_younger(&mut self, age: Age) {
-        let doomed: Vec<Age> = self.ops.keys().copied().filter(|&a| a > age).collect();
+        let doomed: Vec<Age> = self
+            .ops
+            .iter()
+            .map(|(a, _)| a)
+            .filter(|&a| a > age)
+            .collect();
         for a in doomed {
-            let op = self.ops.remove(&a).unwrap();
+            let op = self.ops.remove(a).unwrap();
             self.remove_placed(a, op.stage);
             self.inflight -= 1;
         }
@@ -289,35 +334,55 @@ impl LoadStoreQueue for ArbLsq {
         for r in &mut self.rows {
             r.ages.clear();
         }
+        self.rows_used = 0;
         self.inflight = 0;
     }
 
     fn is_buffered(&self, age: Age) -> bool {
         self.ops
-            .get(&age)
+            .get(age)
             .is_some_and(|o| o.stage == Stage::Buffered)
     }
 
     fn tick(&mut self, promoted: &mut Vec<Age>) {
-        // Retry buffered ops in arrival order.
-        let mut still_waiting = Vec::new();
-        let pending = std::mem::take(&mut self.retry);
-        for age in pending {
-            if self.try_place(age) {
+        // Retry buffered ops in arrival order, compacting in place.
+        let mut retry = std::mem::take(&mut self.retry);
+        retry.retain(|&age| {
+            let placed = self.try_place(age);
+            if placed {
                 promoted.push(age);
-            } else {
-                still_waiting.push(age);
             }
-        }
-        self.retry = still_waiting;
+            !placed
+        });
+        self.retry = retry;
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(self.rows_used, self.recount_rows());
 
-        let rows = self.rows_in_use() as u64;
         let occ = &mut self.activity.occupancy;
         occ.cycles += 1;
-        occ.conv_entries += rows;
+        occ.conv_entries += self.rows_used as u64;
         occ.abuf_slots += self.retry.len() as u64;
         if !self.retry.is_empty() {
             self.activity.abuf_busy_cycles += 1;
+        }
+    }
+
+    fn tick_idle(&mut self, k: u64) {
+        // The caller guarantees the previous tick promoted nothing and no
+        // state changed since. No row empties during the stretch, so
+        // every retry fails again: k idle ticks are k integrations of
+        // unchanged occupancy.
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            self.no_row_for_any_buffered(),
+            "tick_idle while a buffered op could be placed"
+        );
+        let occ = &mut self.activity.occupancy;
+        occ.cycles += k;
+        occ.conv_entries += self.rows_used as u64 * k;
+        occ.abuf_slots += self.retry.len() as u64 * k;
+        if !self.retry.is_empty() {
+            self.activity.abuf_busy_cycles += k;
         }
     }
 
@@ -331,7 +396,7 @@ impl LoadStoreQueue for ArbLsq {
 
     fn occupancy(&self) -> LsqOccupancy {
         LsqOccupancy {
-            conv_entries: self.rows_in_use(),
+            conv_entries: self.rows_used,
             addr_buffer: self.retry.len(),
             ..LsqOccupancy::default()
         }
@@ -341,6 +406,7 @@ impl LoadStoreQueue for ArbLsq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
     use trace_isa::MemRef;
 
     fn tiny() -> ArbLsq {
@@ -448,5 +514,127 @@ mod tests {
         a.address_ready(2);
         a.store_executed(1);
         assert_eq!(a.load_forward_status(2), ForwardStatus::Wait);
+    }
+
+    /// Deterministic splitmix64 (the same stand-in for a property-test
+    /// RNG as `agering`'s tests).
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// The in-flight ages whose op satisfies `keep`, oldest first.
+    fn live_where(a: &ArbLsq, live: &VecDeque<Age>, keep: impl Fn(&ArbOp) -> bool) -> Vec<Age> {
+        live.iter().copied().filter(|&x| keep(a.op(x))).collect()
+    }
+
+    /// ARB's bookkeeping under random traffic that keeps the simulator's
+    /// protocol, on tiny geometries where a few words make rows collide
+    /// and the retry queue fill. After every step `rows_used` equals a
+    /// full recount. Wherever a tick promoted nothing, `tick_idle(k)`
+    /// charges exactly what `k` replayed ticks charge.
+    #[test]
+    fn row_count_and_idle_tick_match_a_recount_and_a_replay() {
+        for (banks, rows_per_bank, max_inflight) in [(1, 4, 8), (4, 1, 8), (2, 2, 4)] {
+            let cfg = ArbConfig {
+                banks,
+                rows_per_bank,
+                max_inflight,
+            };
+            let mut a = ArbLsq::new(cfg);
+            // In-flight ages, oldest first.
+            let mut live: VecDeque<Age> = VecDeque::new();
+            let mut rng = 0xa5b ^ (banks * 64 + rows_per_bank) as u64;
+            let mut next_age = 1;
+            let mut promoted = Vec::new();
+            let (mut idle_checks, mut busy_idle_checks, mut flushes) = (0, 0, 0);
+            for step in 0..(1u64 << 14) {
+                let roll = splitmix(&mut rng);
+                let pick = |ages: &[Age]| ages[(roll >> 32) as usize % ages.len()];
+                match roll % 16 {
+                    0..=3 if a.can_dispatch(roll & 16 != 0) => {
+                        // Six words over 48 bytes, whole or half-word.
+                        let size = if roll & 32 == 0 { 8 } else { 4 };
+                        let offset = if size == 4 { (roll >> 6) & 4 } else { 0 };
+                        let mref = MemRef::new((roll >> 8) % 6 * 8 + offset, size);
+                        a.dispatch(MemOp {
+                            age: next_age,
+                            is_store: roll & 16 != 0,
+                            mref,
+                        });
+                        live.push_back(next_age);
+                        next_age += 1;
+                    }
+                    4..=7 => {
+                        let waiting = live_where(&a, &live, |o| o.stage == Stage::Dispatched);
+                        if !waiting.is_empty() {
+                            let age = pick(&waiting);
+                            let outcome = a.address_ready(age);
+                            assert_eq!(outcome == PlaceOutcome::Buffered, a.is_buffered(age));
+                        }
+                    }
+                    8 => {
+                        let stores = live_where(&a, &live, |o| o.op.is_store && !o.data_ready);
+                        if !stores.is_empty() {
+                            a.store_executed(pick(&stores));
+                        }
+                    }
+                    9..=12 => {
+                        promoted.clear();
+                        a.tick(&mut promoted);
+                        assert!(promoted.iter().all(|&p| !a.is_buffered(p)));
+                        if promoted.is_empty() {
+                            let k = 1 + (roll >> 40) % 49;
+                            let mut replay = a.clone();
+                            for _ in 0..k {
+                                replay.tick(&mut promoted);
+                            }
+                            assert!(promoted.is_empty(), "{cfg:?} step {step}");
+                            a.tick_idle(k);
+                            assert_eq!(a.activity(), replay.activity(), "{cfg:?} step {step}");
+                            assert_eq!(a.occupancy(), replay.occupancy(), "{cfg:?} step {step}");
+                            idle_checks += 1;
+                            if !a.retry.is_empty() {
+                                busy_idle_checks += 1;
+                            }
+                        }
+                    }
+                    13 | 14 => match live.front().map(|&x| a.op(x).stage) {
+                        Some(Stage::Placed { .. }) => {
+                            a.commit(live.pop_front().unwrap());
+                        }
+                        // A buffered ROB head: the simulator's
+                        // deadlock-avoidance flush.
+                        Some(Stage::Buffered) => {
+                            a.flush_all();
+                            live.clear();
+                            flushes += 1;
+                        }
+                        _ => {}
+                    },
+                    _ if roll & (63 << 6) == 0 => {
+                        a.flush_all();
+                        live.clear();
+                        flushes += 1;
+                    }
+                    _ => {}
+                }
+                assert_eq!(a.rows_used, a.recount_rows(), "{cfg:?} step {step}");
+                assert_eq!(
+                    a.retry.len(),
+                    live_where(&a, &live, |o| o.stage == Stage::Buffered).len(),
+                    "{cfg:?} step {step}"
+                );
+                assert_eq!(a.inflight, live.len(), "{cfg:?} step {step}");
+            }
+            assert!(
+                busy_idle_checks > 100 && idle_checks > busy_idle_checks && flushes > 10,
+                "{cfg:?}: {idle_checks} idle checks, {busy_idle_checks} with retries, \
+                 {flushes} flushes"
+            );
+        }
     }
 }

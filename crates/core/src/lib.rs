@@ -64,5 +64,5 @@ pub use oracle::OracleLsq;
 pub use registry::{DesignHandle, DesignRegistry, LsqFactory};
 pub use samie::{SamieConfig, SamieLsq};
 pub use traits::{CachePlan, LoadStoreQueue};
-pub use types::{Age, AgeHasher, AgeMap, ForwardStatus, LsqOccupancy, MemOp, PlaceOutcome};
+pub use types::{Age, ForwardStatus, LsqOccupancy, MemOp, PlaceOutcome};
 pub use unbounded::UnboundedLsq;

@@ -138,19 +138,9 @@ pub trait LoadStoreQueue {
     /// or committed since. Used by the simulator's event-driven cycle
     /// skipping, so the accounting must be exactly `k` idle ticks' worth.
     ///
-    /// The default implementation literally replays `k` ticks (correct
-    /// for every design by construction); designs whose idle tick only
-    /// integrates occupancy override it with a closed form.
-    fn tick_idle(&mut self, k: u64) {
-        let mut promoted = Vec::new();
-        for _ in 0..k {
-            self.tick(&mut promoted);
-            debug_assert!(
-                promoted.is_empty(),
-                "tick_idle during a cycle with promotions"
-            );
-        }
-    }
+    /// There is no default: each design gives an exact closed form,
+    /// charging `k` integrations of its unchanged occupancy in O(1).
+    fn tick_idle(&mut self, k: u64);
 
     /// The activity ledger accumulated so far.
     fn activity(&self) -> &LsqActivity;
@@ -239,8 +229,6 @@ impl<L: LoadStoreQueue + ?Sized> LoadStoreQueue for Box<L> {
     }
 
     fn tick_idle(&mut self, k: u64) {
-        // Must forward explicitly: the provided default would replay
-        // `k` ticks on the Box and lose the inner design's closed form.
         (**self).tick_idle(k)
     }
 

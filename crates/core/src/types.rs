@@ -10,16 +10,6 @@ use trace_isa::MemRef;
 /// hardware encoding and never wraps within a run.
 pub type Age = u64;
 
-/// Hash map keyed by [`Age`] with the simulator's fast u64 hasher.
-///
-/// Age-indexed lookups sit on the simulator's innermost loop (several per
-/// memory instruction), so the map swaps SipHash for
-/// [`trace_isa::FastU64Hasher`].
-pub type AgeMap<V> = trace_isa::U64Map<V>;
-
-/// The [`AgeMap`] hasher.
-pub use trace_isa::FastU64Hasher as AgeHasher;
-
 /// A memory micro-op as the LSQ sees it: an age, a direction, and (once
 /// computed) its memory reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,29 +107,6 @@ mod tests {
         let m = MemRef::new(0x40, 4);
         assert!(!MemOp::load(1, m).is_store);
         assert!(MemOp::store(2, m).is_store);
-    }
-
-    #[test]
-    fn age_map_behaves_like_a_map() {
-        use std::hash::Hasher as _;
-        let mut m: AgeMap<&str> = AgeMap::default();
-        for a in 0..1000u64 {
-            m.insert(a, "x");
-        }
-        assert_eq!(m.len(), 1000);
-        assert_eq!(m.get(&999), Some(&"x"));
-        assert_eq!(m.remove(&0), Some("x"));
-        assert!(!m.contains_key(&0));
-        // Sequential keys must not collapse onto few buckets: the mixed
-        // hashes of 0..1000 should be pairwise distinct.
-        let hashes: std::collections::BTreeSet<u64> = (0..1000u64)
-            .map(|a| {
-                let mut h = AgeHasher::default();
-                std::hash::Hash::hash(&a, &mut h);
-                h.finish()
-            })
-            .collect();
-        assert_eq!(hashes.len(), 1000);
     }
 
     #[test]
