@@ -76,7 +76,7 @@ struct ArbOp {
 
 #[derive(Debug, Clone, Default)]
 struct Row {
-    /// Word address this row disambiguates (valid when `used > 0`).
+    /// Word address this row disambiguates (valid while `ages` is non-empty).
     word: u64,
     /// Ages of resident ops (kept unsorted; rows are tiny in practice).
     ages: Vec<Age>,

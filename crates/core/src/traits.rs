@@ -138,8 +138,8 @@ pub trait LoadStoreQueue {
     /// or committed since. Used by the simulator's event-driven cycle
     /// skipping, so the accounting must be exactly `k` idle ticks' worth.
     ///
-    /// There is no default: each design gives an exact closed form,
-    /// charging `k` integrations of its unchanged occupancy in O(1).
+    /// Each design must give an exact closed form: `k` integrations of
+    /// its unchanged occupancy, in O(1), not a replay of `tick`.
     fn tick_idle(&mut self, k: u64);
 
     /// The activity ledger accumulated so far.
