@@ -16,9 +16,10 @@
 //! unchecked one (asserted by the harness fuzz tests).
 //!
 //! ```
-//! use samie_lsq::{checked, CheckedLsq, DesignRegistry, LsqFactory};
+//! use samie_lsq::{checked, CheckedLsq, DesignSpec, LsqFactory};
+//! use std::sync::Arc;
 //!
-//! let conv = DesignRegistry::builtin().parse("conv:32").unwrap();
+//! let conv = Arc::new("conv:32".parse::<DesignSpec>().unwrap());
 //! let factory = checked(conv);
 //! assert_eq!(factory.id(), "conv:32", "ids stay canonical");
 //! let lsq = factory.build();
@@ -419,8 +420,7 @@ mod tests {
 
     #[test]
     fn factory_wrapper_keeps_canonical_id() {
-        let reg = crate::DesignRegistry::builtin();
-        let f = checked(reg.parse("samie:32x4x8").unwrap());
+        let f = checked(Arc::new("samie:32x4x8".parse::<DesignSpec>().unwrap()));
         assert_eq!(f.id(), "samie:32x4x8:sh8:ab64");
         let built = f.build();
         assert!(built.as_any().downcast_ref::<CheckedLsq>().is_some());

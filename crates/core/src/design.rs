@@ -113,6 +113,32 @@ impl DesignParseError {
 }
 
 impl DesignSpec {
+    /// Every kind keyword [`FromStr`] accepts, with its spec syntax — the
+    /// rows `samie-exp designs` lists and the unknown-kind error names.
+    pub const KINDS: [(&'static str, &'static str); 9] = [
+        ("conv", "conv[:ENTRIES] - conventional LSQ (default 128)"),
+        ("conventional", "alias of conv"),
+        (
+            "filtered",
+            "filtered[:ENTRIES[:BUCKETS[:HASHES]]] - Bloom-filtered LSQ (default 128:1024:2)",
+        ),
+        ("filt", "alias of filtered"),
+        (
+            "samie",
+            "samie[:BANKSxENTRIESxSLOTS[:shN|shinf][:abN]] - SAMIE-LSQ (default 64x2x8:sh8:ab64)",
+        ),
+        (
+            "arb",
+            "arb[:BANKSxROWS[:ifN]] - Franklin & Sohi ARB (default 64x2:if128)",
+        ),
+        ("unbounded", "unbounded - ideal LSQ, never the bottleneck"),
+        ("ideal", "alias of unbounded"),
+        (
+            "oracle",
+            "oracle - unbounded LSQ cross-checked against the disambiguation oracle",
+        ),
+    ];
+
     /// The paper's conventional baseline (128 entries, Table 2).
     pub fn conventional_paper() -> Self {
         DesignSpec::Conventional { entries: 128 }
@@ -222,7 +248,11 @@ impl DesignSpec {
 
     /// Parse a comma-separated design list.
     pub fn parse_list(specs: &str) -> Result<Vec<DesignSpec>, DesignParseError> {
-        split_list(specs).map(str::parse).collect()
+        specs
+            .split(',')
+            .filter(|s| !s.is_empty())
+            .map(str::parse)
+            .collect()
     }
 
     /// Stable 128-bit fingerprint of the canonical spec string — the
@@ -269,12 +299,6 @@ impl fmt::Display for DesignSpec {
             DesignSpec::Oracle => f.write_str("oracle"),
         }
     }
-}
-
-/// Split a comma-separated spec list, ignoring empty segments — the one
-/// definition of the list syntax, shared with [`crate::DesignRegistry`].
-pub(crate) fn split_list(specs: &str) -> impl Iterator<Item = &str> {
-    specs.split(',').filter(|s| !s.is_empty())
 }
 
 /// Split `dims` ("64x2x8") into `N` `x`-separated integers.
@@ -401,7 +425,8 @@ impl FromStr for DesignSpec {
                 DesignSpec::Oracle
             }
             _ => {
-                return err("unknown design kind (conv/filtered/samie/arb/unbounded/oracle)");
+                let kinds: Vec<&str> = Self::KINDS.iter().map(|(kind, _)| *kind).collect();
+                return err(&format!("unknown design kind (known: {})", kinds.join("/")));
             }
         };
         parsed
@@ -483,6 +508,7 @@ mod tests {
         );
         let e = "warp:9".parse::<DesignSpec>().unwrap_err();
         assert!(e.to_string().contains("unknown design kind"));
+        assert!(e.to_string().contains("samie"), "{e}");
     }
 
     #[test]
@@ -500,6 +526,14 @@ mod tests {
             assert!(!lsq.name().is_empty(), "{spec}");
             assert!(lsq.can_dispatch(false) || matches!(d, DesignSpec::Arb(_)));
         }
+    }
+
+    #[test]
+    fn aliases_resolve() {
+        let parse = |spec: &str| spec.parse::<DesignSpec>().unwrap().to_string();
+        assert_eq!(parse("conventional:64"), "conv:64");
+        assert_eq!(parse("ideal"), "unbounded");
+        assert_eq!(parse("filt:64"), "filtered:64:1024:2");
     }
 
     #[test]

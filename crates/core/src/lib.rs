@@ -33,9 +33,8 @@
 //!
 //! Every design is constructed through [`DesignSpec`] — a serializable,
 //! fully-geometry-pinned descriptor with a canonical string form
-//! (`"samie:64x2x8:sh8:ab64"`) — or through the extensible
-//! [`DesignRegistry`], which lets downstream crates plug in new designs
-//! behind the same descriptor syntax. `DesignSpec::build` returns a
+//! (`"samie:64x2x8:sh8:ab64"`); a design outside that grammar implements
+//! [`LsqFactory`] and travels as the same [`DesignHandle`]. `DesignSpec::build` returns a
 //! `Box<dyn LoadStoreQueue>` (the trait is object-safe), so runners,
 //! sweeps and CLIs need no type parameter per design.
 
@@ -61,7 +60,7 @@ pub use conventional::ConventionalLsq;
 pub use design::{DesignParseError, DesignSpec};
 pub use filtered::{CountingBloom, FilteredLsq};
 pub use oracle::OracleLsq;
-pub use registry::{DesignHandle, DesignRegistry, LsqFactory};
+pub use registry::{DesignHandle, LsqFactory};
 pub use samie::{SamieConfig, SamieLsq};
 pub use traits::{CachePlan, LoadStoreQueue};
 pub use types::{Age, ForwardStatus, LsqOccupancy, MemOp, PlaceOutcome};

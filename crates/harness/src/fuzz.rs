@@ -2,7 +2,7 @@
 //!
 //! Each iteration derives a workload deterministically from the fuzz seed
 //! — a mutated [`WorkloadSpec`], a calibrated benchmark, or an adversarial
-//! generator — and runs **every registered design family** on the
+//! generator — and runs **every design family** on the
 //! identical trace through one [`SimSession`], together with the two
 //! references: [`DesignSpec::Unbounded`] (the capacity-free timing
 //! reference) and [`DesignSpec::Oracle`] (the executable disambiguation

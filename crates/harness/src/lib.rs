@@ -23,7 +23,7 @@
 //! A grid is a plain [`SweepGrid`] value: the CLI starts from
 //! [`SweepGrid::sweep_default`] or [`SweepGrid::bench_default`] and its
 //! flags replace axes through [`SweepGrid::parse_benchmarks`],
-//! [`SweepGrid::parse_cfg`] and [`DesignRegistry::parse_list`].
+//! [`SweepGrid::parse_cfg`] and [`DesignSpec::parse_list`].
 //!
 //! ## Incremental everything
 //!
@@ -46,8 +46,8 @@
 //! ## The front door
 //!
 //! Everything above is built on [`session::SimSession`]: designs are named
-//! by [`DesignSpec`] descriptors (or any kind registered in a
-//! [`DesignRegistry`]), built once through the object-safe
+//! by [`DesignSpec`] descriptors (or any custom [`LsqFactory`]), built
+//! once through the object-safe
 //! `Box<dyn LoadStoreQueue>` factory, and simulated on identical traces —
 //! one design or any-N comparisons, with streaming progress observers.
 //! One-off runs (the CLI's `record` and `rv run`, the examples, the
@@ -70,7 +70,7 @@ pub use exp_store::{ExperimentStore, PointKey, StoredPoint, SIM_VERSION};
 pub use fuzz::{differential_check, run_fuzz, FuzzConfig, FuzzMismatch, FuzzReport};
 pub use report::{generate_book, BookSummary, ReportOptions};
 pub use runner::{parallel_map_with, run_point, PairedRun, PointCache, RunConfig};
-pub use samie_lsq::{DesignHandle, DesignParseError, DesignRegistry, DesignSpec, LsqFactory};
+pub use samie_lsq::{DesignHandle, DesignParseError, DesignSpec, LsqFactory};
 pub use session::{DesignRun, SessionEvent, SessionReport, SimSession};
 pub use sweep::{
     designs_from_specs, run_sweep, ShardSpec, SweepGrid, SweepOptions, SweepPoint, SweepReport,

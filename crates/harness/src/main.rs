@@ -20,7 +20,7 @@
 //!   design-space grid: LSQ designs x workloads x seeds -> CSV +
 //!   BENCH_sweep.json (+ timing-zeroed BENCH_sweep.det.{json,csv}, the
 //!   byte-comparable artifacts). Designs are DesignSpec strings (run
-//!   `samie-exp designs` for the registered kinds and their syntax),
+//!   `samie-exp designs` for the kinds and their syntax),
 //!   comma-separated. Each flag replaces one axis of the default grid
 //!   (six-design ladder x the 26-benchmark suite).
 //!
@@ -41,10 +41,10 @@
 //!   2.0) vs the checked-in BENCH_baseline.json.
 //!
 //! samie-exp designs
-//!   list every design kind in the registry with its spec syntax.
+//!   list every design kind `--designs` accepts with its spec syntax.
 //!
 //! samie-exp fuzz [--iters N] [--seed S] [--jobs N] [common flags]
-//!   oracle-differential fuzzing: every registered design family vs the
+//!   oracle-differential fuzzing: every design family vs the
 //!   executable disambiguation oracle on random workload mutations and
 //!   the adversarial pack. Mismatches are shrunk to minimal .strc repro
 //!   traces under --out and the exit code is 4.
@@ -63,16 +63,12 @@
 //!   (the report-smoke CI gate).
 //!
 //! samie-exp store [--store DIR] [--gc] [--dump]
-//!   inspect the experiment store (entries, size, per-design/workload
-//!   counts); with --gc, delete corrupt and version-stale entries and
-//!   rebuild the index; with --dump, print every entry in deterministic
-//!   sorted text form (timing excluded) for byte-for-byte store diffs.
-//!
-//! samie-exp analyze
-//!   run the repo-specific static-analysis lints (determinism,
-//!   panic-hygiene, unsafe audit, schema/doc consistency) over the
-//!   workspace; writes ANALYZE_report.json and exits 6 on findings.
-//!   The standalone `samie-analyze` binary adds --lints/--json/--list.
+//!   inspect an existing experiment store (entries, size, per-design and
+//!   per-version counts, decoded from every entry; a corrupt entry is
+//!   named and exits 1); with --gc, delete corrupt and version-stale
+//!   entries; with --dump, print every entry in deterministic sorted
+//!   text form (timing excluded) for byte-for-byte store diffs. A
+//!   missing store exits 1 and is not created.
 //!
 //! samie-exp rv asm FILE.s
 //!   assemble an RV32I(M) program and print the listing (address,
@@ -97,6 +93,7 @@
 //! `--help` lists every flag (the `FLAGS` table) and command.
 //! ```
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use exp_harness::experiments::{fig1, fig3_4, paired, tab1_delay, tab456};
@@ -106,7 +103,8 @@ use exp_harness::runner::{PairedRun, PointCache, RunConfig};
 use exp_harness::session::SimSession;
 use exp_harness::sweep::{check_regression, run_sweep, ShardSpec, SweepGrid, SweepOptions};
 use exp_harness::table::Table;
-use exp_harness::{DesignHandle, DesignRegistry, SIM_VERSION};
+use exp_harness::{designs_from_specs, DesignHandle, DesignSpec, SIM_VERSION};
+use exp_store::{ExperimentStore, StoreError};
 use ooo_sim::SimConfig;
 use spec_traces::{all_benchmarks, find_workload, Workload};
 
@@ -126,7 +124,6 @@ enum Command {
     Record,
     Report,
     Store,
-    Analyze,
     /// Real-ISA frontend: `rv asm FILE.s` / `rv run <FILE.s|rv:NAME>`.
     Rv,
 }
@@ -138,7 +135,7 @@ const PAPER_IDS: &[&str] = &[
 ];
 
 /// The mode commands, by the word that selects them.
-const MODES: [(&str, Command); 9] = [
+const MODES: [(&str, Command); 8] = [
     ("sweep", Command::Sweep),
     ("bench", Command::Bench),
     ("designs", Command::Designs),
@@ -146,7 +143,6 @@ const MODES: [(&str, Command); 9] = [
     ("record", Command::Record),
     ("report", Command::Report),
     ("store", Command::Store),
-    ("analyze", Command::Analyze),
     ("rv", Command::Rv),
 ];
 
@@ -490,11 +486,11 @@ fn usage_error(flag: &str, e: impl std::fmt::Display) -> i32 {
     2
 }
 
-/// A `--designs` list as registry handles, or the usage-error exit code.
+/// A `--designs` list as design handles, or the usage-error exit code.
 fn parse_designs(list: &str) -> Result<Vec<DesignHandle>, i32> {
-    match DesignRegistry::builtin().parse_list(list) {
+    match DesignSpec::parse_list(list) {
         Ok(d) if d.is_empty() => Err(usage_error("--designs", "needs at least one design")),
-        Ok(d) => Ok(d),
+        Ok(d) => Ok(designs_from_specs(d)),
         Err(e) => Err(usage_error("--designs", e)),
     }
 }
@@ -790,30 +786,27 @@ fn run_report_command(args: &Args) -> i32 {
     0
 }
 
-/// `store` entry point: inspect or garbage-collect the experiment store.
+/// `store` entry point: inspect or garbage-collect an existing
+/// experiment store (never creates one).
 fn run_store_command(args: &Args) -> i32 {
-    let cache = match PointCache::open(&args.store) {
-        Ok(c) => c,
+    let store = match ExperimentStore::open_existing(&args.store) {
+        Ok(s) => s,
         Err(e) => {
             eprintln!("cannot open experiment store {}: {e}", args.store.display());
             return 1;
         }
     };
-    let store = cache.store();
     if args.dump {
         // Deterministic text form of every entry, sorted, timing
         // excluded — two stores holding the same results dump
         // byte-identical text (a diffable record of what a store holds).
-        match store.dump_deterministic() {
+        return match store.dump_deterministic() {
             Ok(text) => {
                 print!("{text}");
-                return 0;
+                0
             }
-            Err(e) => {
-                eprintln!("cannot dump store: {e}");
-                return 1;
-            }
-        }
+            Err(e) => store_walk_failed(e),
+        };
     }
     if args.gc {
         match store.gc(SIM_VERSION) {
@@ -830,59 +823,29 @@ fn run_store_command(args: &Args) -> i32 {
             }
         }
     }
-    let (entries, bytes) = match (store.len(), store.disk_bytes()) {
-        (Ok(n), Ok(b)) => (n, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("cannot read store: {e}");
-            return 1;
-        }
+    let (entries, bytes) = match (store.entries(), store.disk_bytes()) {
+        (Ok(entries), Ok(bytes)) => (entries, bytes),
+        (Err(e), _) => return store_walk_failed(e),
+        (_, Err(e)) => return store_walk_failed(e.into()),
     };
     println!(
-        "store {}: {entries} entries, {:.1} KiB (sim version {SIM_VERSION})",
+        "store {}: {} entries, {:.1} KiB (sim version {SIM_VERSION})",
         store.root().display(),
+        entries.len(),
         bytes as f64 / 1024.0
     );
-    let mut rows = match store.index() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cannot read index: {e}");
-            return 1;
-        }
-    };
-    // The index is a convenience the entries can always regenerate:
-    // concurrent appenders (or a crash between publish and append) can
-    // leave it short or duplicated — heal it on sight.
-    if rows.len() != entries {
-        eprintln!(
-            "index lists {} of {entries} entries; rebuilding it from the entry files",
-            rows.len()
-        );
-        match store.rebuild_index().and_then(|_| store.index()) {
-            Ok(r) => rows = r,
-            Err(e) => {
-                eprintln!("cannot rebuild index: {e}");
-                return 1;
-            }
-        }
-    }
-    let mut by_design: Vec<(String, usize)> = Vec::new();
-    let mut by_version: Vec<(String, usize)> = Vec::new();
-    for row in &rows {
-        match by_design.iter_mut().find(|(d, _)| *d == row.design) {
-            Some((_, n)) => *n += 1,
-            None => by_design.push((row.design.clone(), 1)),
-        }
-        match by_version.iter_mut().find(|(v, _)| *v == row.sim_version) {
-            Some((_, n)) => *n += 1,
-            None => by_version.push((row.sim_version.clone(), 1)),
-        }
+    let mut by_design: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut by_version: BTreeMap<&str, usize> = BTreeMap::new();
+    for e in &entries {
+        *by_design.entry(e.key_field("design")).or_default() += 1;
+        *by_version.entry(e.key_field("ver")).or_default() += 1;
     }
     let mut t = Table::new(
         "Experiment store - points per design",
         &["design", "points"],
     );
     for (d, n) in by_design {
-        t.push_row(vec![d, n.to_string()]);
+        t.push_row(vec![d.to_string(), n.to_string()]);
     }
     println!("{}", t.render());
     for (v, n) in by_version {
@@ -894,6 +857,16 @@ fn run_store_command(args: &Args) -> i32 {
         println!("version {v}: {n} points{stale}");
     }
     0
+}
+
+/// The one line `store` prints when its walk over the entries fails:
+/// a corrupt entry names its file and the command that removes it.
+fn store_walk_failed(e: StoreError) -> i32 {
+    match e {
+        StoreError::Corrupt { .. } => eprintln!("{e}; `samie-exp store --gc` removes it"),
+        StoreError::Io(_) => eprintln!("cannot read store: {e}"),
+    }
+    1
 }
 
 /// `rv` entry point: the real-ISA frontend — assemble a program for
@@ -1033,54 +1006,6 @@ fn run_rv_run(args: &Args, target: &str) -> i32 {
     0
 }
 
-/// `analyze` entry point: run the repo-specific lints
-/// (`samie-analyzer`) over the workspace, always denying findings —
-/// the standalone `samie-analyze` binary has the permissive flags.
-fn run_analyze_command() -> i32 {
-    let mut root = std::env::current_dir().unwrap_or_else(|_| std::path::PathBuf::from("."));
-    loop {
-        if root.join("Cargo.toml").exists() && root.join("ROADMAP.md").exists() {
-            break;
-        }
-        if !root.pop() {
-            eprintln!("analyze: cannot find the workspace root (run inside the repo)");
-            return 2;
-        }
-    }
-    let opts = samie_analyzer::AnalyzeOptions {
-        root: root.clone(),
-        only: None,
-    };
-    let report = match samie_analyzer::analyze(&opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("analyze: {e}");
-            return 1;
-        }
-    };
-    for f in &report.findings {
-        println!("{f}");
-    }
-    let json = root.join("ANALYZE_report.json");
-    if let Err(e) = std::fs::write(&json, samie_analyzer::render_json(&report)) {
-        eprintln!("analyze: cannot write {}: {e}", json.display());
-        return 1;
-    }
-    eprintln!(
-        "analyze: {} finding(s), {} suppressed, {} files, {} lints -> {}",
-        report.findings.len(),
-        report.suppressed.len(),
-        report.files_scanned,
-        report.lints_run.len(),
-        json.display()
-    );
-    if report.findings.is_empty() {
-        0
-    } else {
-        6
-    }
-}
-
 fn emit(t: &Table, out: &std::path::Path, chart: bool) {
     println!("{}", t.render());
     if chart && t.headers.len() >= 2 {
@@ -1108,7 +1033,7 @@ fn main() {
     let exp = match &args.command {
         Command::Designs => {
             println!("registered design kinds (comma-separate specs for --designs):");
-            for (kind, help) in DesignRegistry::builtin().help_lines() {
+            for (kind, help) in DesignSpec::KINDS {
                 println!("  {kind:<14} {help}");
             }
             return;
@@ -1119,7 +1044,6 @@ fn main() {
         Command::Record => std::process::exit(run_record_command(&args)),
         Command::Report => std::process::exit(run_report_command(&args)),
         Command::Store => std::process::exit(run_store_command(&args)),
-        Command::Analyze => std::process::exit(run_analyze_command()),
         Command::Rv => std::process::exit(run_rv_command(&args)),
         Command::Paper(id) => id.clone(),
     };

@@ -7,13 +7,10 @@
 //! one-off runs use [`SimSession`] directly — the single construction
 //! path for every LSQ design.
 
-use std::cell::UnsafeCell;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-
-use crossbeam::queue::SegQueue;
 
 use exp_store::{ExperimentStore, PointKey, StoreError, StoredPoint, SIM_VERSION};
 use ooo_sim::{SimConfig, SimStats};
@@ -272,35 +269,22 @@ pub fn run_point(
     }
 }
 
-/// Result slots written lock-free: each worker owns the indices it pops
-/// from the queue, so every slot is written at most once, by one thread.
-struct ResultSlots<R> {
-    slots: Vec<UnsafeCell<Option<R>>>,
-}
-
-// SAFETY: workers only write disjoint slots (each index is popped from
-// the queue exactly once) and reads happen only after the thread scope
-// joins every worker.
-unsafe impl<R: Send> Sync for ResultSlots<R> {}
-
 /// Order-preserving parallel map over `items` on `threads` workers (`0`
-/// = all available cores). Work is distributed through a lock-free
-/// queue so long-running items (e.g. `ammp` with its deadlock replays)
-/// do not serialise the suite. The pool never exceeds the item count;
-/// oversubscribed calls (`threads > items`) degrade gracefully — the
-/// sweep engine exposes this as `--jobs`.
+/// = all available cores). Workers claim the next unclaimed index from a
+/// shared counter, in `0..n` order, so long-running items (e.g. `ammp`
+/// with its deadlock replays) do not serialise the suite. The pool never
+/// exceeds the item count; oversubscribed calls (`threads > items`)
+/// degrade gracefully — the sweep engine exposes this as `--jobs`.
 ///
-/// Collection is lock-free: results land in per-index slots, so a long
-/// sweep never serialises its workers on a results lock.
+/// Each worker returns its own `(index, result)` list and the results
+/// are put back in index order after the scope joins, so a long sweep
+/// never serialises its workers on a results lock. A panicking worker
+/// propagates its panic out of the scope.
 pub fn parallel_map_with<T: Sync, R: Send, F: Fn(&T) -> R + Sync>(
     threads: usize,
     items: &[T],
     f: F,
 ) -> Vec<R> {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
     let threads = if threads == 0 {
         std::thread::available_parallelism()
             .map(|p| p.get())
@@ -308,39 +292,32 @@ pub fn parallel_map_with<T: Sync, R: Send, F: Fn(&T) -> R + Sync>(
     } else {
         threads
     }
-    .min(n);
+    .min(items.len());
     if threads <= 1 {
         return items.iter().map(&f).collect();
     }
-    let queue = SegQueue::new();
-    for i in 0..n {
-        queue.push(i);
-    }
-    let results = ResultSlots {
-        slots: (0..n).map(|_| UnsafeCell::new(None)).collect(),
-    };
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            // Capture the Sync wrapper itself, not its `slots` field —
-            // disjoint closure capture would otherwise try to share the
-            // bare Vec<UnsafeCell<..>>.
-            let (results, queue, f) = (&results, &queue, &f);
-            scope.spawn(move || {
-                while let Some(i) = queue.pop() {
-                    let r = f(&items[i]);
-                    // SAFETY: index `i` was popped exactly once, so this
-                    // thread is the only writer of slot `i`, and no reader
-                    // runs until the scope joins.
-                    unsafe { *results.slots[i].get() = Some(r) };
-                }
-            });
+    // Relaxed suffices: the counter only hands out distinct indices; the
+    // results travel back through the joined threads' return values.
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, f(item)));
         }
+    };
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
-    results
-        .slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("worker completed"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -381,6 +358,19 @@ mod tests {
     fn parallel_map_single_item() {
         assert_eq!(parallel_map_with(0, &[7u64], |&x| x + 1), vec![8]);
         assert_eq!(parallel_map_with(16, &[7u64], |&x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn parallel_map_propagates_a_worker_panic() {
+        let caught = std::panic::catch_unwind(|| {
+            parallel_map_with(2, &[1u64, 2, 3, 4], |&x| {
+                assert_ne!(x, 3, "worker panic");
+                x
+            })
+        });
+        let payload = caught.expect_err("the worker's panic must reach the caller");
+        let msg = payload.downcast_ref::<String>().expect("assert message");
+        assert!(msg.contains("worker panic"), "{msg}");
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //! example goes through to simulate designs.
 //!
 //! A session pairs one workload with any number of [`DesignSpec`]s (or
-//! custom [`samie_lsq::LsqFactory`] handles from a
-//! [`DesignRegistry`](samie_lsq::DesignRegistry)), runs them on identical
+//! custom [`samie_lsq::LsqFactory`] handles), runs them on identical
 //! traces, and returns one [`SessionReport`] with per-design
 //! [`SimStats`]. Designs are built through the object-safe
 //! `Box<dyn LoadStoreQueue>` path, so adding a design to the comparison
@@ -69,7 +68,7 @@ use trace_isa::strc::TraceWriter;
 use crate::runner::RunConfig;
 
 /// Anything a session accepts as a design: a typed [`DesignSpec`] or a
-/// registry-produced [`DesignHandle`].
+/// [`DesignHandle`] to any factory.
 pub trait IntoDesign {
     /// Convert into the shared factory handle the session stores.
     fn into_design(self) -> DesignHandle;
@@ -591,8 +590,7 @@ mod tests {
 
     #[test]
     fn registry_handles_run_like_specs() {
-        let reg = samie_lsq::DesignRegistry::builtin();
-        let handle = reg.parse("conv:64").unwrap();
+        let handle: DesignHandle = std::sync::Arc::new("conv:64".parse::<DesignSpec>().unwrap());
         let report = quick(handle).run();
         assert_eq!(report.runs[0].id, "conv:64");
         assert!(report.stats().ipc() > 0.1);

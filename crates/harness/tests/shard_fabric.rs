@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use exp_harness::runner::RunConfig;
 use exp_harness::sweep::SweepGrid;
-use exp_harness::{run_sweep, DesignRegistry, PointCache, ShardSpec, SweepOptions};
+use exp_harness::{designs_from_specs, run_sweep, DesignSpec, PointCache, ShardSpec, SweepOptions};
 use ooo_sim::SimConfig;
 
 const EXE: &str = env!("CARGO_BIN_EXE_samie-exp");
@@ -25,9 +25,7 @@ const EXE: &str = env!("CARGO_BIN_EXE_samie-exp");
 /// debug-build worker process to simulate in well under a second.
 fn small_grid(seed: u64) -> SweepGrid {
     SweepGrid {
-        designs: DesignRegistry::builtin()
-            .parse_list("conv:32,samie")
-            .unwrap(),
+        designs: designs_from_specs(DesignSpec::parse_list("conv:32,samie").unwrap()),
         benchmarks: SweepGrid::parse_benchmarks("gzip,swim").unwrap(),
         seeds: vec![seed],
         rc: RunConfig {
@@ -173,15 +171,15 @@ fn overlapping_processes_and_threads_leave_zero_corrupt_entries() {
     }
 
     // Three writers, one store, zero corruption: exactly one entry per
-    // point, every entry decodes, the (deduplicated) index agrees, and
-    // no temp files were leaked.
+    // point, every entry decodes (through the keyed gets and the walk
+    // over all entries), and no temp files were leaked.
     let store_handle = cache.store();
     assert_eq!(store_handle.len().unwrap(), 4);
     assert_eq!(assert_no_corruption(&cache, &grid), 4);
     assert_eq!(
-        store_handle.index().unwrap().len(),
+        store_handle.entries().unwrap().len(),
         4,
-        "index lists each point once"
+        "the entry walk decodes each point once"
     );
     let temps = std::fs::read_dir(store.join("entries"))
         .unwrap()
@@ -213,9 +211,7 @@ fn sigkilled_worker_loses_nothing_and_a_resumed_sweep_completes_the_grid() {
     // lands mid-sweep: we poll the store for the first published entry,
     // then SIGKILL while later points are still simulating.
     let grid = SweepGrid {
-        designs: DesignRegistry::builtin()
-            .parse_list("conv:32,samie")
-            .unwrap(),
+        designs: designs_from_specs(DesignSpec::parse_list("conv:32,samie").unwrap()),
         benchmarks: SweepGrid::parse_benchmarks("gzip,swim,ammp").unwrap(),
         seeds: vec![41],
         rc: RunConfig {

@@ -233,6 +233,19 @@ pub struct DecodedEntry {
     pub point: StoredPoint,
 }
 
+impl DecodedEntry {
+    /// The value of one `name=value` field of the stored canonical key
+    /// (`design`, `workload`, `seed`, ..., `ver`; see
+    /// [`PointKey::canonical`](crate::PointKey::canonical)), or `""` if
+    /// the key has no such field.
+    pub fn key_field(&self, name: &str) -> &str {
+        self.key_canonical
+            .split('|')
+            .find_map(|part| part.strip_prefix(name)?.strip_prefix('='))
+            .unwrap_or("")
+    }
+}
+
 /// Decode an entry file, verifying magic, checksum and schema
 /// completeness. Returns a human-readable reason on any defect.
 pub fn decode_entry(text: &str) -> Result<DecodedEntry, String> {

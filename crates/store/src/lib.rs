@@ -15,8 +15,11 @@
 //! ```text
 //! <root>/
 //!   entries/<32-hex-digit key hash>.point   one atomic text file per point
-//!   index.tsv                               append-only listing (inspection)
 //! ```
+//!
+//! The entry files are the store's only state: every listing decodes
+//! them ([`ExperimentStore::entries`]), and any other file under the
+//! root is ignored.
 //!
 //! Guarantees:
 //!
@@ -28,7 +31,6 @@
 //!   sweep leaves only whole entries behind and is resumable.
 //! * **Multi-process safety** — [`ExperimentStore::put`] is write-once
 //!   per fingerprint path (first publish wins, losers verify-and-discard),
-//!   index appends are single `O_APPEND` writes deduplicated by readers,
 //!   and [`ExperimentStore::gc`] never reclaims a temp file younger than
 //!   [`GC_TEMP_GRACE`] — any number of sweep workers (threads *or*
 //!   processes) can share one store directory. This is what sharded
@@ -79,7 +81,7 @@ mod store;
 
 pub use entry::{decode_entry, encode_entry, visit_stat_fields, DecodedEntry, StoredPoint};
 pub use key::PointKey;
-pub use store::{ExperimentStore, GcReport, IndexRow, StoreCounters, StoreError, GC_TEMP_GRACE};
+pub use store::{ExperimentStore, GcReport, StoreError, GC_TEMP_GRACE};
 
 /// Version tag of the simulation semantics baked into store keys.
 ///

@@ -1,15 +1,14 @@
 //! [`ExperimentStore`] — the on-disk store proper: atomic puts, checked
-//! gets, an inspection index and garbage collection.
+//! gets, one walk over the decoded entries and garbage collection.
 
 use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::entry::{decode_entry, encode_entry, visit_stat_fields, StoredPoint};
+use crate::entry::{decode_entry, encode_entry, visit_stat_fields, DecodedEntry, StoredPoint};
 use crate::key::PointKey;
 
 /// How long a stray `.tmp-*` file is protected from
@@ -55,25 +54,6 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// One line of the inspection index.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexRow {
-    /// Entry file stem (32 hex digits of the key hash).
-    pub hash: String,
-    /// Canonical design id.
-    pub design: String,
-    /// Workload cache id.
-    pub workload: String,
-    /// Trace seed.
-    pub seed: u64,
-    /// Measured instructions.
-    pub instrs: u64,
-    /// Warm-up instructions.
-    pub warmup: u64,
-    /// Simulator version the point was computed under.
-    pub sim_version: String,
-}
-
 /// Outcome of [`ExperimentStore::gc`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GcReport {
@@ -90,34 +70,6 @@ pub struct GcReport {
     pub bytes_freed: u64,
 }
 
-/// A snapshot of one store handle's write-path counters (see
-/// [`ExperimentStore::counters`]). The counts are per-handle, not
-/// per-directory: they tell a caller (or test) what *this* process did —
-/// how often its writes published fresh entries versus collapsed into a
-/// concurrent winner's.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreCounters {
-    /// Entries this handle published first (won the write-once race or
-    /// wrote an uncontended key).
-    pub published: u64,
-    /// Writes that lost the write-once race to an intact concurrent
-    /// entry and were verified-and-discarded — the store-level
-    /// deduplication of concurrent writers.
-    pub deduped: u64,
-    /// Corrupt or mis-keyed entries healed in place by a fresh copy.
-    pub healed: u64,
-    /// Deliberate overwrites through [`ExperimentStore::put_replace`].
-    pub replaced: u64,
-}
-
-/// Take the in-process index lock, recovering from poison: the lock
-/// only serializes index writes within this process (cross-process
-/// safety comes from `O_APPEND`), and a panicked writer leaves the
-/// index file merely stale — `rebuild_index` regenerates it.
-fn lock_index(m: &Mutex<()>) -> std::sync::MutexGuard<'_, ()> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// A content-addressed, on-disk store of simulated experiment points.
 ///
 /// Safe for concurrent writers in many **threads and processes** sharing
@@ -130,11 +82,10 @@ fn lock_index(m: &Mutex<()>) -> std::sync::MutexGuard<'_, ()> {
 /// * temp files are collision-free (pid + per-process nonce, created
 ///   with `O_EXCL`) and [`gc`](Self::gc) refuses to reclaim temp files
 ///   younger than [`GC_TEMP_GRACE`], so it cannot destroy another
-///   process's in-flight write;
-/// * index appends are a single `O_APPEND` write by the publishing
-///   winner only; readers deduplicate, and the index is a convenience
-///   that [`rebuild_index`](Self::rebuild_index) / [`gc`](Self::gc)
-///   regenerate from the entries (the durable truth) at any time.
+///   process's in-flight write.
+///
+/// The entry files are the store's only state: every listing
+/// ([`entries`](Self::entries), [`len`](Self::len)) reads them.
 ///
 /// Sweep workers cache their points as soon as they finish — which is
 /// what makes an interrupted sweep resumable and a multi-process sharded
@@ -143,13 +94,7 @@ fn lock_index(m: &Mutex<()>) -> std::sync::MutexGuard<'_, ()> {
 #[derive(Debug)]
 pub struct ExperimentStore {
     root: PathBuf,
-    index: Mutex<()>,
     tmp_counter: AtomicU64,
-    read_only: bool,
-    published: AtomicU64,
-    deduped: AtomicU64,
-    healed: AtomicU64,
-    replaced: AtomicU64,
 }
 
 impl ExperimentStore {
@@ -157,16 +102,13 @@ impl ExperimentStore {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let root = dir.into();
         fs::create_dir_all(root.join("entries"))?;
-        Ok(Self::handle(root, false))
+        Ok(Self::handle(root))
     }
 
-    /// Open an **existing** store without write access: refuses to
-    /// create the directory (a missing store is `NotFound`, never
-    /// silently materialised empty), and every mutating call —
-    /// [`put`](Self::put), [`put_replace`](Self::put_replace) — fails
-    /// with `PermissionDenied`. The read-mostly handle for inspection
-    /// tools.
-    pub fn open_read_only(dir: impl Into<PathBuf>) -> io::Result<Self> {
+    /// Open an **existing** store: a missing store is `NotFound`, never
+    /// created — the handle for inspection, which must not make a store
+    /// where there was none.
+    pub fn open_existing(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let root = dir.into();
         if !root.join("entries").is_dir() {
             return Err(io::Error::new(
@@ -174,48 +116,14 @@ impl ExperimentStore {
                 format!("no experiment store at {}", root.display()),
             ));
         }
-        Ok(Self::handle(root, true))
+        Ok(Self::handle(root))
     }
 
-    fn handle(root: PathBuf, read_only: bool) -> Self {
+    fn handle(root: PathBuf) -> Self {
         ExperimentStore {
             root,
-            index: Mutex::new(()),
             tmp_counter: AtomicU64::new(0),
-            read_only,
-            published: AtomicU64::new(0),
-            deduped: AtomicU64::new(0),
-            healed: AtomicU64::new(0),
-            replaced: AtomicU64::new(0),
         }
-    }
-
-    /// Whether this handle was opened with [`open_read_only`](Self::open_read_only).
-    pub fn is_read_only(&self) -> bool {
-        self.read_only
-    }
-
-    /// Snapshot this handle's write-path counters.
-    pub fn counters(&self) -> StoreCounters {
-        StoreCounters {
-            published: self.published.load(Ordering::Relaxed),
-            deduped: self.deduped.load(Ordering::Relaxed),
-            healed: self.healed.load(Ordering::Relaxed),
-            replaced: self.replaced.load(Ordering::Relaxed),
-        }
-    }
-
-    fn deny_if_read_only(&self) -> io::Result<()> {
-        if self.read_only {
-            return Err(io::Error::new(
-                io::ErrorKind::PermissionDenied,
-                format!(
-                    "experiment store {} was opened read-only",
-                    self.root.display()
-                ),
-            ));
-        }
-        Ok(())
     }
 
     /// The store's root directory.
@@ -225,10 +133,6 @@ impl ExperimentStore {
 
     fn entries_dir(&self) -> PathBuf {
         self.root.join("entries")
-    }
-
-    fn index_path(&self) -> PathBuf {
-        self.root.join("index.tsv")
     }
 
     fn entry_path(&self, key: &PointKey) -> PathBuf {
@@ -241,15 +145,9 @@ impl ExperimentStore {
     /// different canonical key).
     pub fn get(&self, key: &PointKey) -> Result<Option<StoredPoint>, StoreError> {
         let path = self.entry_path(key);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
+        let Some(decoded) = read_entry(&path)? else {
+            return Ok(None);
         };
-        let decoded = decode_entry(&text).map_err(|reason| StoreError::Corrupt {
-            path: path.clone(),
-            reason,
-        })?;
         if decoded.key_canonical != key.canonical() {
             return Err(StoreError::Corrupt {
                 path,
@@ -263,14 +161,9 @@ impl ExperimentStore {
         Ok(Some(decoded.point))
     }
 
-    /// Whether a (possibly corrupt) entry exists for `key`.
-    pub fn contains(&self, key: &PointKey) -> bool {
-        self.entry_path(key).exists()
-    }
-
     /// Store a point under `key`, **write-once**: the first fully-written
-    /// entry for a fingerprint path wins and is appended to the
-    /// inspection index; a racing loser verifies that the winner's entry
+    /// entry for a fingerprint path wins; a racing loser verifies that
+    /// the winner's entry
     /// is intact for this key, discards its own copy and returns the
     /// shared path. (Points are pure functions of their key, so the
     /// winner's entry is equivalent — only `wall_nanos`/extras can
@@ -278,7 +171,6 @@ impl ExperimentStore {
     /// in place. Use [`put_replace`](Self::put_replace) to overwrite an
     /// intact entry deliberately.
     pub fn put(&self, key: &PointKey, point: &StoredPoint) -> io::Result<PathBuf> {
-        self.deny_if_read_only()?;
         let path = self.entry_path(key);
         let tmp = self.write_temp(key, point)?;
         // A hard link publishes the finished temp file atomically and
@@ -289,8 +181,6 @@ impl ExperimentStore {
             match fs::hard_link(&tmp, &path) {
                 Ok(()) => {
                     let _ = fs::remove_file(&tmp);
-                    self.append_index(key)?;
-                    self.published.fetch_add(1, Ordering::Relaxed);
                     return Ok(path);
                 }
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => match self.get(key) {
@@ -298,7 +188,6 @@ impl ExperimentStore {
                         // Lost the race to an intact equivalent entry:
                         // verify-and-discard.
                         let _ = fs::remove_file(&tmp);
-                        self.deduped.fetch_add(1, Ordering::Relaxed);
                         return Ok(path);
                     }
                     // The entry vanished between the failed link and the
@@ -308,8 +197,6 @@ impl ExperimentStore {
                         // The existing entry is corrupt or mis-keyed:
                         // heal it with our complete copy.
                         fs::rename(&tmp, &path)?;
-                        self.append_index(key)?;
-                        self.healed.fetch_add(1, Ordering::Relaxed);
                         return Ok(path);
                     }
                 },
@@ -317,15 +204,11 @@ impl ExperimentStore {
                 // rename (last writer wins, entries still always whole).
                 Err(_) => {
                     fs::rename(&tmp, &path)?;
-                    self.append_index(key)?;
-                    self.published.fetch_add(1, Ordering::Relaxed);
                     return Ok(path);
                 }
             }
         }
         fs::rename(&tmp, &path)?;
-        self.append_index(key)?;
-        self.published.fetch_add(1, Ordering::Relaxed);
         Ok(path)
     }
 
@@ -335,15 +218,9 @@ impl ExperimentStore {
     /// corrupt; plain caching should use the write-once
     /// [`put`](Self::put).
     pub fn put_replace(&self, key: &PointKey, point: &StoredPoint) -> io::Result<PathBuf> {
-        self.deny_if_read_only()?;
         let path = self.entry_path(key);
-        let existed = path.exists();
         let tmp = self.write_temp(key, point)?;
         fs::rename(&tmp, &path)?;
-        if !existed {
-            self.append_index(key)?;
-        }
-        self.replaced.fetch_add(1, Ordering::Relaxed);
         Ok(path)
     }
 
@@ -376,29 +253,6 @@ impl ExperimentStore {
         }
     }
 
-    /// Append `key`'s row to the inspection index as one `O_APPEND`
-    /// write — atomic across processes for a line this size, so
-    /// concurrent appenders can duplicate rows but never interleave
-    /// bytes. Readers ([`index`](Self::index)) deduplicate.
-    fn append_index(&self, key: &PointKey) -> io::Result<()> {
-        let line = format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-            key.file_name().trim_end_matches(".point"),
-            key.design,
-            key.workload,
-            key.seed,
-            key.instrs,
-            key.warmup,
-            key.sim_version
-        );
-        let _guard = lock_index(&self.index);
-        let mut f = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.index_path())?;
-        f.write_all(line.as_bytes())
-    }
-
     /// Number of entry files currently in the store.
     pub fn len(&self) -> io::Result<usize> {
         Ok(self.entry_files()?.len())
@@ -418,65 +272,9 @@ impl ExperimentStore {
         Ok(total)
     }
 
-    /// Read the inspection index (one row per stored point, deduplicated,
-    /// in insertion order). Duplicate rows — the benign residue of
-    /// concurrent appenders racing on one store — collapse to the first
-    /// occurrence, and malformed lines are skipped: the index is a
-    /// convenience listing; the entries are the truth
-    /// ([`rebuild_index`](Self::rebuild_index) and [`gc`](Self::gc)
-    /// regenerate it from them).
-    pub fn index(&self) -> io::Result<Vec<IndexRow>> {
-        let text = match fs::read_to_string(self.index_path()) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        let mut seen = std::collections::BTreeSet::new();
-        let mut rows = Vec::new();
-        for line in text.lines() {
-            let mut it = line.split('\t');
-            let (
-                Some(hash),
-                Some(design),
-                Some(workload),
-                Some(seed),
-                Some(instrs),
-                Some(warmup),
-                Some(ver),
-            ) = (
-                it.next(),
-                it.next(),
-                it.next(),
-                it.next(),
-                it.next(),
-                it.next(),
-                it.next(),
-            )
-            else {
-                continue;
-            };
-            let (Ok(seed), Ok(instrs), Ok(warmup)) = (seed.parse(), instrs.parse(), warmup.parse())
-            else {
-                continue;
-            };
-            if seen.insert(hash.to_string()) {
-                rows.push(IndexRow {
-                    hash: hash.to_string(),
-                    design: design.to_string(),
-                    workload: workload.to_string(),
-                    seed,
-                    instrs,
-                    warmup,
-                    sim_version: ver.to_string(),
-                });
-            }
-        }
-        Ok(rows)
-    }
-
     /// Garbage-collect: delete corrupt entries, orphaned temp files and
     /// entries computed under a simulator version other than
-    /// `current_version`, then rebuild the index from the survivors.
+    /// `current_version`.
     ///
     /// Temp files younger than [`GC_TEMP_GRACE`] are **never** reclaimed
     /// — they may be another process's in-flight write; use
@@ -496,8 +294,6 @@ impl ExperimentStore {
         temp_grace: Duration,
     ) -> io::Result<GcReport> {
         let mut report = GcReport::default();
-        let mut survivors: Vec<String> = Vec::new();
-        let _guard = lock_index(&self.index);
         for path in self.entry_files_and_temps()? {
             let size = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
@@ -519,81 +315,54 @@ impl ExperimentStore {
                 report.bytes_freed += size;
                 continue;
             }
-            let decoded = fs::read_to_string(&path)
-                .ok()
-                .and_then(|t| decode_entry(&t).ok());
-            match decoded {
-                None => {
+            match read_entry(&path) {
+                // Removed by a concurrent gc since the listing.
+                Ok(None) => {}
+                Err(_) => {
                     fs::remove_file(&path)?;
                     report.removed_corrupt += 1;
                     report.bytes_freed += size;
                 }
-                Some(d) => {
-                    let ver = d
-                        .key_canonical
-                        .rsplit_once("|ver=")
-                        .map(|(_, v)| v)
-                        .unwrap_or("");
-                    if ver != current_version {
-                        fs::remove_file(&path)?;
-                        report.removed_stale += 1;
-                        report.bytes_freed += size;
-                    } else {
-                        report.kept += 1;
-                        survivors.push(index_line_from_canonical(name, &d.key_canonical));
-                    }
+                Ok(Some(d)) if d.key_field("ver") != current_version => {
+                    fs::remove_file(&path)?;
+                    report.removed_stale += 1;
+                    report.bytes_freed += size;
                 }
+                Ok(Some(_)) => report.kept += 1,
             }
         }
-        survivors.sort();
-        fs::write(self.index_path(), survivors.concat())?;
         Ok(report)
     }
 
-    /// Rewrite the inspection index from the entry files (sorted by
-    /// hash), dropping duplicate and stale rows without deleting
-    /// anything. Returns the number of indexed entries. Undecodable
-    /// entries are skipped — [`gc`](Self::gc) is the tool that removes
-    /// them.
-    pub fn rebuild_index(&self) -> io::Result<usize> {
-        let mut lines: Vec<String> = Vec::new();
-        for path in self.entry_files()? {
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if let Some(d) = fs::read_to_string(&path)
-                .ok()
-                .and_then(|t| decode_entry(&t).ok())
-            {
-                lines.push(index_line_from_canonical(name, &d.key_canonical));
-            }
-        }
-        lines.sort();
-        let n = lines.len();
-        let _guard = lock_index(&self.index);
-        fs::write(self.index_path(), lines.concat())?;
-        Ok(n)
-    }
-
-    /// Render every stored point as deterministic text: entries sorted
-    /// by canonical key, each as a `key` line followed by `stat`/`extra`
-    /// lines, with the wall-clock field (the one non-deterministic byte
-    /// of an entry) omitted. Two stores hold equivalent results — no
-    /// matter which processes filled them, in what order, or how often
-    /// writers raced — exactly when their dumps are byte-identical;
-    /// a sharded store can be diffed against a serial sweep's this way. A
-    /// corrupt entry fails the dump rather than vanishing from it.
-    pub fn dump_deterministic(&self) -> Result<String, StoreError> {
+    /// Decode every entry, sorted by canonical key — the one walk over
+    /// the store's contents that every listing shares. The first entry
+    /// that cannot be decoded fails the walk as [`StoreError::Corrupt`]
+    /// naming its file, so a damaged store is
+    /// never listed as if it were whole ([`gc`](Self::gc) removes such
+    /// entries).
+    pub fn entries(&self) -> Result<Vec<DecodedEntry>, StoreError> {
         let mut entries = Vec::new();
         for path in self.entry_files()? {
-            let text = fs::read_to_string(&path).map_err(StoreError::Io)?;
-            let decoded = decode_entry(&text).map_err(|reason| StoreError::Corrupt {
-                path: path.clone(),
-                reason,
-            })?;
-            entries.push(decoded);
+            // An entry removed by a concurrent gc since the listing is
+            // simply gone.
+            entries.extend(read_entry(&path)?);
         }
         entries.sort_by(|a, b| a.key_canonical.cmp(&b.key_canonical));
+        Ok(entries)
+    }
+
+    /// Render every stored point as deterministic text: the
+    /// [`entries`](Self::entries) walk, each entry as a `key` line
+    /// followed by `stat`/`extra` lines, with the wall-clock field (the
+    /// one non-deterministic byte of an entry) omitted. Two stores hold
+    /// equivalent results — no matter which processes filled them, in
+    /// what order, or how often writers raced — exactly when their dumps
+    /// are byte-identical; a sharded store can be diffed against a serial
+    /// sweep's this way. A corrupt entry fails the dump rather than
+    /// vanishing from it.
+    pub fn dump_deterministic(&self) -> Result<String, StoreError> {
         let mut out = String::new();
-        for mut e in entries {
+        for mut e in self.entries()? {
             out.push_str("key ");
             out.push_str(&e.key_canonical);
             out.push('\n');
@@ -626,25 +395,22 @@ impl ExperimentStore {
     }
 }
 
-/// Rebuild an index line from an entry's canonical key string.
-fn index_line_from_canonical(file_name: &str, canonical: &str) -> String {
-    let field = |tag: &str| {
-        canonical
-            .split('|')
-            .find_map(|part| part.strip_prefix(tag))
-            .unwrap_or("")
-            .to_string()
+/// Read and decode the entry file at `path`: `Ok(None)` if there is no
+/// such file, [`StoreError::Corrupt`] naming it if it cannot be decoded.
+fn read_entry(path: &Path) -> Result<Option<DecodedEntry>, StoreError> {
+    let bytes = match fs::read(path) {
+        Ok(b) => b,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.into()),
     };
-    format!(
-        "{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-        file_name.trim_end_matches(".point"),
-        field("design="),
-        field("workload="),
-        field("seed="),
-        field("instrs="),
-        field("warmup="),
-        field("ver=")
-    )
+    std::str::from_utf8(&bytes)
+        .map_err(|_| "entry is not UTF-8 text".to_string())
+        .and_then(decode_entry)
+        .map(Some)
+        .map_err(|reason| StoreError::Corrupt {
+            path: path.to_path_buf(),
+            reason,
+        })
 }
 
 #[cfg(test)]
@@ -696,14 +462,13 @@ mod tests {
         // winner's entry and discards its own (no temp file left behind).
         store.put(&k, &point(11)).unwrap();
         assert_eq!(store.get(&k).unwrap().unwrap().stats.cycles, 10);
-        // put_replace deliberately refreshes; neither path duplicates the
-        // index.
+        // put_replace deliberately refreshes; neither path adds an entry.
         store.put_replace(&k, &point(11)).unwrap();
         assert_eq!(store.get(&k).unwrap().unwrap().stats.cycles, 11);
-        let idx = store.index().unwrap();
-        assert_eq!(idx.len(), 1);
-        assert_eq!(idx[0].design, "conv:128");
-        assert_eq!(idx[0].seed, 1);
+        let entries = store.entries().unwrap();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].key_field("design"), "conv:128");
+        assert_eq!(entries[0].key_field("seed"), "1");
         // No stray temps after any of the puts.
         let temps: Vec<_> = fs::read_dir(store.entries_dir())
             .unwrap()
@@ -745,6 +510,10 @@ mod tests {
         .unwrap();
         let err = store.get(&k).unwrap_err();
         assert!(err.to_string().contains("key mismatch"), "{err}");
+        // Bytes that are not even text are corrupt too, not an i/o error.
+        fs::write(&path, [0xff, 0xfe, b'\n']).unwrap();
+        let err = store.get(&k).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
     }
 
     #[test]
@@ -763,11 +532,11 @@ mod tests {
         assert_eq!(report.kept_temps, 0);
         assert!(report.bytes_freed > 0);
         assert_eq!(store.len().unwrap(), 1);
-        // Index was rebuilt from the survivors.
-        let idx = store.index().unwrap();
-        assert_eq!(idx.len(), 1);
-        assert_eq!(idx[0].seed, 1);
-        assert_eq!(idx[0].sim_version, "v1");
+        // The survivor is the intact current-version entry.
+        let entries = store.entries().unwrap();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].key_field("seed"), "1");
+        assert_eq!(entries[0].key_field("ver"), "v1");
     }
 
     #[test]
@@ -789,75 +558,19 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_index_recovers_from_a_lost_or_duplicated_index() {
-        let store = tmp_store("rebuild");
-        for s in 0..4 {
-            store.put(&key("conv:128", s, "v1"), &point(s)).unwrap();
-        }
-        // Simulate concurrent-appender residue plus a torn final line.
-        let existing = fs::read_to_string(store.index_path()).unwrap();
-        let first = existing.lines().next().unwrap();
-        fs::write(
-            store.index_path(),
-            format!("{existing}{first}\n{}", &first[..10]),
-        )
-        .unwrap();
-        assert_eq!(store.index().unwrap().len(), 4, "readers dedup");
-        assert_eq!(store.rebuild_index().unwrap(), 4);
-        assert_eq!(store.index().unwrap().len(), 4);
-        // A deleted index is rebuilt wholesale from the entries.
-        fs::remove_file(store.index_path()).unwrap();
-        assert_eq!(store.rebuild_index().unwrap(), 4);
-        let idx = store.index().unwrap();
-        assert_eq!(idx.len(), 4);
-        let mut seeds: Vec<u64> = idx.iter().map(|r| r.seed).collect();
-        seeds.sort_unstable();
-        assert_eq!(seeds, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn read_only_handle_reads_but_never_writes_or_creates() {
-        let store = tmp_store("read-only");
+    fn open_existing_reads_a_store_but_never_creates_one() {
+        let store = tmp_store("existing");
         let k = key("conv:128", 5, "v1");
         store.put(&k, &point(9)).unwrap();
-
-        let ro = ExperimentStore::open_read_only(store.root()).unwrap();
-        assert!(ro.is_read_only());
-        assert_eq!(ro.get(&k).unwrap().unwrap(), point(9));
-        for err in [
-            ro.put(&key("conv:128", 6, "v1"), &point(1)).unwrap_err(),
-            ro.put_replace(&k, &point(1)).unwrap_err(),
-        ] {
-            assert_eq!(err.kind(), io::ErrorKind::PermissionDenied, "{err}");
-        }
-        assert_eq!(ro.counters(), StoreCounters::default());
+        let existing = ExperimentStore::open_existing(store.root()).unwrap();
+        assert_eq!(existing.get(&k).unwrap().unwrap(), point(9));
 
         // A missing store is NotFound, never materialised empty.
         let missing = std::env::temp_dir().join("exp-store-test-no-such-store");
         let _ = fs::remove_dir_all(&missing);
-        let err = ExperimentStore::open_read_only(&missing).unwrap_err();
+        let err = ExperimentStore::open_existing(&missing).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
-        assert!(!missing.exists(), "read-only open must not create");
-    }
-
-    #[test]
-    fn counters_track_publish_dedup_heal_replace() {
-        let store = tmp_store("counters");
-        let k = key("samie", 1, "v1");
-        store.put(&k, &point(1)).unwrap();
-        store.put(&k, &point(2)).unwrap(); // loses the write-once race
-        store.put_replace(&k, &point(3)).unwrap();
-        fs::write(store.entry_path(&k), "garbage").unwrap();
-        store.put(&k, &point(4)).unwrap(); // heals the corrupt entry
-        assert_eq!(
-            store.counters(),
-            StoreCounters {
-                published: 1,
-                deduped: 1,
-                healed: 1,
-                replaced: 1,
-            }
-        );
+        assert!(!missing.exists(), "open_existing must not create");
     }
 
     #[test]
@@ -904,14 +617,14 @@ mod tests {
             }
         });
         assert_eq!(store.len().unwrap(), 128);
-        assert_eq!(store.index().unwrap().len(), 128);
+        assert_eq!(store.entries().unwrap().len(), 128, "every entry decodes");
     }
 
     #[test]
     fn concurrent_puts_on_overlapping_keys_never_corrupt() {
         // 8 threads hammer the *same* 16 keys — the write-once race in
         // its purest form. Every entry must decode, hold one of the
-        // written values, and index exactly once.
+        // written values, and exist exactly once.
         let store = tmp_store("overlap");
         std::thread::scope(|s| {
             for t in 0..8u64 {
@@ -929,7 +642,7 @@ mod tests {
             }
         });
         assert_eq!(store.len().unwrap(), 16);
-        assert_eq!(store.index().unwrap().len(), 16);
+        assert_eq!(store.entries().unwrap().len(), 16, "every entry decodes");
         for i in 0..16 {
             let got = store.get(&key("samie", i, "v1")).unwrap().unwrap();
             assert!(got.stats.cycles >= 1000);
