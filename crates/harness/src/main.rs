@@ -62,13 +62,13 @@
 //!   exits 5 unless the run was all cache hits with a warm speedup >= X
 //!   (the report-smoke CI gate).
 //!
-//! samie-exp store [--store DIR] [--gc] [--dump]
+//! samie-exp store [--store DIR] [--gc | --dump]
 //!   inspect an existing experiment store (entries, size, per-design and
 //!   per-version counts, decoded from every entry; a corrupt entry is
 //!   named and exits 1); with --gc, delete corrupt and version-stale
 //!   entries; with --dump, print every entry in deterministic sorted
 //!   text form (timing excluded) for byte-for-byte store diffs. A
-//!   missing store exits 1 and is not created.
+//!   missing store exits 1 and is not created; --gc with --dump exits 2.
 //!
 //! samie-exp rv asm FILE.s
 //!   assemble an RV32I(M) program and print the listing (address,
@@ -94,7 +94,9 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use exp_harness::experiments::{fig1, fig3_4, paired, tab1_delay, tab456};
 use exp_harness::fuzz::{run_fuzz, FuzzConfig};
@@ -107,6 +109,32 @@ use exp_harness::{designs_from_specs, DesignHandle, DesignSpec, SIM_VERSION};
 use exp_store::{ExperimentStore, StoreError};
 use ooo_sim::SimConfig;
 use spec_traces::{all_benchmarks, find_workload, Workload};
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Write to stdout without panicking. Once the reader has closed the
+/// pipe (`samie-exp store --dump | head`), later output is dropped
+/// quietly and the command still finishes its files and exit code; any
+/// other write error ends the process with one line and exit 1.
+fn write_stdout(text: std::fmt::Arguments) {
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    match std::io::stdout().lock().write_fmt(text) {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => CLOSED.store(true, Ordering::Relaxed),
+        Err(e) => {
+            eprintln!("samie-exp: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
 
 /// What the first positional argument asks for. The paper experiment ids
 /// (`fig1`, `tab456`, `summary`, ...) stay data — they select table
@@ -419,19 +447,19 @@ fn run_fuzz_command(args: &Args) -> i32 {
     );
     let report = run_fuzz(&cfg);
     if report.clean() {
-        println!(
+        outln!(
             "fuzz: {} iterations, zero design-vs-oracle mismatches",
             report.iters
         );
         return 0;
     }
-    println!(
+    outln!(
         "fuzz: {} MISMATCHES in {} iterations",
         report.mismatches.len(),
         report.iters
     );
     for m in &report.mismatches {
-        println!(
+        outln!(
             "  iter {} (workload `{}`, shrunk to {} ops{}):",
             m.iter,
             m.workload,
@@ -442,10 +470,10 @@ fn run_fuzz_command(args: &Args) -> i32 {
                 .unwrap_or_default(),
         );
         for f in &m.failures {
-            println!("    - {f}");
+            outln!("    - {f}");
         }
         if let Some(p) = &m.repro {
-            println!("    replay: samie-exp sweep --bench @{}", p.display());
+            outln!("    replay: samie-exp sweep --bench @{}", p.display());
         }
     }
     4
@@ -524,15 +552,15 @@ fn run_record_command(args: &Args) -> i32 {
         .record(&path);
     let report = designs[1..].iter().fold(session, |s, d| s.design(d)).run();
     for run in &report.runs {
-        println!("  {:<28} ipc {:.4}", run.id, run.stats.ipc());
+        outln!("  {:<28} ipc {:.4}", run.id, run.stats.ipc());
     }
-    println!(
+    outln!(
         "recorded {} ops of `{}` -> {}",
         report.ops_consumed,
         report.workload,
         path.display()
     );
-    println!("replay:  samie-exp sweep --bench @{}", path.display());
+    outln!("replay:  samie-exp sweep --bench @{}", path.display());
     0
 }
 
@@ -671,9 +699,9 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
         },
     );
     report.mode = mode;
-    println!("{}", report.table().render());
+    outln!("{}", report.table().render());
     if let Some(c) = cache.cache() {
-        println!(
+        outln!(
             "{} [store {}]",
             report.cache_summary(),
             c.store().root().display()
@@ -682,9 +710,9 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
     if let Some(reason) = cache.failure() {
         // Repeated at the tail on purpose: the warning at open time
         // scrolls away under the sweep's progress output.
-        println!("store UNAVAILABLE — ran uncached: {reason}");
+        outln!("store UNAVAILABLE — ran uncached: {reason}");
     }
-    println!(
+    outln!(
         "total: {} simulated instructions in {:.2} s = {:.2} Msim-instr/s",
         report.total_instructions(),
         report.wall.as_secs_f64(),
@@ -703,7 +731,7 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
             }
         };
         match check_regression(&report, &baseline, args.max_regression) {
-            Ok(msg) => println!("baseline check OK: {msg}"),
+            Ok(msg) => outln!("baseline check OK: {msg}"),
             Err(msg) => {
                 eprintln!(
                     "THROUGHPUT REGRESSION (> {:.1}x): {msg}",
@@ -746,14 +774,14 @@ fn run_report_command(args: &Args) -> i32 {
             return 1;
         }
     };
-    println!(
+    outln!(
         "wrote {} files to {} in {:.2} s",
         book.pages.len(),
         out.display(),
         book.wall.as_secs_f64()
     );
     if let Some(reason) = cache.failure() {
-        println!("store UNAVAILABLE — book regenerated uncached: {reason}");
+        outln!("store UNAVAILABLE — book regenerated uncached: {reason}");
     }
     if let Some(c) = cache.cache() {
         let speedup = if book.wall.as_secs_f64() > 0.0 {
@@ -761,7 +789,7 @@ fn run_report_command(args: &Args) -> i32 {
         } else {
             0.0
         };
-        println!(
+        outln!(
             "cache: {} hits / {} misses; saved ~{:.2} s of simulation (warm speedup ~{speedup:.0}x) [store {}]",
             c.hits(),
             c.misses(),
@@ -777,7 +805,7 @@ fn run_report_command(args: &Args) -> i32 {
                 eprintln!("EXPECTED WARM SPEEDUP >= {want:.0}x, measured ~{speedup:.0}x");
                 return 5;
             }
-            println!("warm gate OK: all hits, speedup ~{speedup:.0}x >= {want:.0}x");
+            outln!("warm gate OK: all hits, speedup ~{speedup:.0}x >= {want:.0}x");
         }
     } else if args.expect_warm.is_some() {
         eprintln!("--expect-warm requires the cache (drop --no-cache)");
@@ -789,6 +817,9 @@ fn run_report_command(args: &Args) -> i32 {
 /// `store` entry point: inspect or garbage-collect an existing
 /// experiment store (never creates one).
 fn run_store_command(args: &Args) -> i32 {
+    if args.dump && args.gc {
+        return usage_error("--gc", "cannot be combined with --dump");
+    }
     let store = match ExperimentStore::open_existing(&args.store) {
         Ok(s) => s,
         Err(e) => {
@@ -802,7 +833,7 @@ fn run_store_command(args: &Args) -> i32 {
         // byte-identical text (a diffable record of what a store holds).
         return match store.dump_deterministic() {
             Ok(text) => {
-                print!("{text}");
+                write_stdout(format_args!("{text}"));
                 0
             }
             Err(e) => store_walk_failed(e),
@@ -811,9 +842,12 @@ fn run_store_command(args: &Args) -> i32 {
     if args.gc {
         match store.gc(SIM_VERSION) {
             Ok(r) => {
-                println!(
+                outln!(
                     "gc: kept {}, removed {} stale + {} corrupt, freed {} bytes",
-                    r.kept, r.removed_stale, r.removed_corrupt, r.bytes_freed
+                    r.kept,
+                    r.removed_stale,
+                    r.removed_corrupt,
+                    r.bytes_freed
                 );
                 return 0;
             }
@@ -828,7 +862,7 @@ fn run_store_command(args: &Args) -> i32 {
         (Err(e), _) => return store_walk_failed(e),
         (_, Err(e)) => return store_walk_failed(e.into()),
     };
-    println!(
+    outln!(
         "store {}: {} entries, {:.1} KiB (sim version {SIM_VERSION})",
         store.root().display(),
         entries.len(),
@@ -847,14 +881,14 @@ fn run_store_command(args: &Args) -> i32 {
     for (d, n) in by_design {
         t.push_row(vec![d.to_string(), n.to_string()]);
     }
-    println!("{}", t.render());
+    outln!("{}", t.render());
     for (v, n) in by_version {
         let stale = if v == SIM_VERSION {
             ""
         } else {
             "  (stale - `samie-exp store --gc` reclaims)"
         };
-        println!("version {v}: {n} points{stale}");
+        outln!("version {v}: {n} points{stale}");
     }
     0
 }
@@ -915,14 +949,14 @@ fn run_rv_asm(path: &str) -> i32 {
         let asm = rv_front::decode(word)
             .map(|ins| ins.asm())
             .unwrap_or_else(|_| "<raw>".into());
-        println!("{pc:08x}: {word:08x}  {asm}");
+        outln!("{pc:08x}: {word:08x}  {asm}");
     }
     let mut labels: Vec<(&String, &u32)> = image.labels.iter().collect();
     labels.sort_by_key(|&(_, addr)| *addr);
     for (name, addr) in labels {
-        println!("{addr:08x}  {name}");
+        outln!("{addr:08x}  {name}");
     }
-    println!(
+    outln!(
         "{} instructions, {} data bytes, {} labels",
         image.text.len(),
         image.data.len(),
@@ -993,7 +1027,7 @@ fn run_rv_run(args: &Args, target: &str) -> i32 {
         .arch_oracle();
     let report = designs[1..].iter().fold(session, |s, d| s.design(d)).run();
     for run in &report.runs {
-        println!(
+        outln!(
             "  {:<28} ipc {:.4}  committed {}",
             run.id,
             run.stats.ipc(),
@@ -1001,17 +1035,17 @@ fn run_rv_run(args: &Args, target: &str) -> i32 {
         );
     }
     if let Some(summary) = &report.arch_oracle {
-        println!("{summary}");
+        outln!("{summary}");
     }
     0
 }
 
 fn emit(t: &Table, out: &std::path::Path, chart: bool) {
-    println!("{}", t.render());
+    outln!("{}", t.render());
     if chart && t.headers.len() >= 2 {
         // Chart the last column against the first (the key series of
         // every figure table).
-        println!(
+        outln!(
             "{}",
             exp_harness::table::bar_chart(t, 0, t.headers.len() - 1, 50)
         );
@@ -1032,9 +1066,9 @@ fn main() {
     };
     let exp = match &args.command {
         Command::Designs => {
-            println!("registered design kinds (comma-separate specs for --designs):");
+            outln!("registered design kinds (comma-separate specs for --designs):");
             for (kind, help) in DesignSpec::KINDS {
-                println!("  {kind:<14} {help}");
+                outln!("  {kind:<14} {help}");
             }
             return;
         }

@@ -97,3 +97,50 @@ fn inspecting_a_missing_store_fails_and_creates_nothing() {
         assert!(!missing.exists(), "{extra:?} created {}", missing.display());
     }
 }
+
+#[test]
+fn dump_with_gc_is_refused_and_collects_nothing() {
+    let missing = scratch("dump-gc-missing");
+    let out = store_cmd(&missing, &["--dump", "--gc"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(!missing.exists(), "created {}", missing.display());
+
+    let store = scratch("dump-gc");
+    let sweep_out = scratch("dump-gc-out");
+    let sweep = samie_exp(&[
+        "sweep",
+        "--designs",
+        "conv:32",
+        "--bench",
+        "gzip",
+        "--instrs",
+        "2000",
+        "--warmup",
+        "500",
+        "--store",
+        &store.display().to_string(),
+        "--out",
+        &sweep_out.display().to_string(),
+    ]);
+    assert!(sweep.status.success(), "sweep failed: {sweep:?}");
+    let victim = std::fs::read_dir(store.join("entries"))
+        .unwrap()
+        .next()
+        .unwrap()
+        .unwrap()
+        .path();
+    std::fs::write(&victim, "garbage").unwrap();
+
+    for flags in [["--dump", "--gc"], ["--gc", "--dump"]] {
+        let out = store_cmd(&store, &flags);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{flags:?} printed a dump: {out:?}");
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert_eq!(lines.len(), 1, "want one stderr line, got:\n{stderr}");
+        assert!(lines[0].contains("--gc") && lines[0].contains("--dump"));
+        assert!(victim.exists(), "{flags:?} collected the corrupt entry");
+    }
+    std::fs::remove_dir_all(&store).unwrap();
+    let _ = std::fs::remove_dir_all(&sweep_out);
+}

@@ -18,22 +18,31 @@
 //!    ordering either take a forward or access the D-cache via a port.
 //! 5. **issue** — ready ops go to functional units (address generation for
 //!    memory ops runs on the integer ALUs).
-//! 6. **dispatch** — fetch queue → ROB (+ LSQ dispatch for memory ops).
-//! 7. **fetch** — trace/replay → fetch queue, guided by the branch
-//!    predictor, BTB and L1 I-cache; a mispredicted branch blocks fetch
-//!    until it resolves plus a redirect penalty.
+//! 6. **dispatch** — fetched ops → ROB (+ LSQ dispatch for memory ops).
+//! 7. **fetch** — trace/replay → the ring behind the ROB (at most
+//!    `fetch_queue` ops), guided by the branch predictor, BTB and L1
+//!    I-cache; a mispredicted branch blocks fetch until it resolves plus
+//!    a redirect penalty.
 //!
 //! ## Hot-loop layout and event-driven cycle skipping
 //!
-//! In-flight ops live in a struct-of-arrays reorder buffer (`Rob`):
-//! the per-op record is split into parallel fixed arrays of
-//! `rob_size.next_power_of_two()` slots, and the op of age `a` sits in
-//! slot `a & mask` (ages are assigned sequentially at fetch and flushes
-//! clear the whole window, so the live ages `[age0, age0 + len)` never
-//! share a slot; `Rob::index` checks that range in every build). The
-//! commit scan touches only the `state` array, the wake-up walk only
-//! `waiting_on`/`state`, instead of dragging whole entries through the
-//! cache.
+//! An op has one home from fetch to commit: a struct-of-arrays ring
+//! (`Rob`) whose per-op record is split into parallel fixed arrays of
+//! `(rob_size + fetch_queue).next_power_of_two()` slots. The op of age
+//! `a` sits in slot `a & mask`: fetch writes it there, dispatch only
+//! moves the boundary between the reorder buffer `[age0, age0 + len)`
+//! and the fetched ops behind it, and commit advances `age0`. Ages are
+//! assigned sequentially at fetch and flushes clear the whole ring, so
+//! live ages never share a slot; `Rob::index` answers only for the
+//! reorder buffer and checks that range in every build. The commit scan
+//! touches only the `state` array, the wake-up walk only
+//! `waiting_on`/`state` and the wake links, instead of dragging whole
+//! entries through the cache.
+//!
+//! Wake-up lists are intrusive: each producer slot holds the head and
+//! tail of a FIFO of nodes `age << 1 | operand`, linked through two
+//! per-slot `wake_next` cells of the consumers themselves, so
+//! registering a consumer allocates nothing.
 //!
 //! Scheduled completions sit on a timing wheel (`CompletionWheel`):
 //! bucket `cycle & mask` plus an occupancy bitmap, with a horizon sized
@@ -62,9 +71,9 @@
 //!
 //! The only squashes in this trace-driven model are whole-pipeline flushes
 //! (deadlock avoidance and LSQ no-space, both counted for Figure 6). All
-//! uncommitted ops are pushed into a replay buffer and re-fetched with
-//! fresh ages, which preserves dependency distances (they are relative to
-//! dynamic program order).
+//! uncommitted ops, dispatched and fetched, are pushed in age order into
+//! a replay buffer and re-fetched with fresh ages, which preserves
+//! dependency distances (they are relative to dynamic program order).
 
 use std::collections::VecDeque;
 
@@ -103,18 +112,32 @@ enum MemPhase {
     Finished,
 }
 
-/// Struct-of-arrays reorder buffer on an age-indexed ring. One logical
-/// entry per in-flight op, split into parallel arrays of
-/// `rob_size.next_power_of_two()` slots; the op of age `a` lives in slot
-/// `a & mask`. Ages are assigned sequentially at fetch, dispatch pushes
-/// them in order, and the only squashes are whole-window flushes, so the
-/// ROB is always the contiguous age range `[age0, age0 + len)` and no two
-/// live ages share a slot.
+/// The wake-up list terminator. Ages start at 1, so no node is 0.
+const NIL: u64 = 0;
+
+/// Struct-of-arrays ring holding every in-flight op from fetch to commit.
+/// One logical entry per op, split into parallel arrays of
+/// `(rob_size + fetch_queue).next_power_of_two()` slots; the op of age `a`
+/// lives in slot `a & mask`. Ages are assigned sequentially at fetch,
+/// dispatch takes the oldest fetched op, and the only squashes are
+/// whole-ring flushes, so the ring always holds the contiguous age range
+/// `[age0, age0 + len + fetched)`: the reorder buffer proper
+/// `[age0, age0 + len)` followed by the fetched, not yet dispatched ops.
+/// No two live ages share a slot.
+///
+/// A producer's consumers hang off it on an intrusive FIFO: node
+/// `age << 1 | operand` names a consumer's source operand, `wake_head`/
+/// `wake_tail` (per producer slot) delimit the list and `wake_next`
+/// (two links per consumer slot, one per operand) chains it. A consumer
+/// naming one producer in both operands is two nodes on its list.
 #[derive(Debug)]
 struct Rob {
-    /// Age of the front entry (meaningful only while non-empty).
+    /// Age of the oldest op in the ring (meaningful only while non-empty).
     age0: Age,
+    /// Dispatched ops: the reorder buffer.
     len: usize,
+    /// Fetched ops waiting for dispatch, just after the reorder buffer.
+    fetched: usize,
     /// `slots - 1`; slot of age `a` is `a & mask`.
     mask: u64,
     op: Box<[MicroOp]>,
@@ -122,8 +145,11 @@ struct Rob {
     mem_phase: Box<[MemPhase]>,
     /// Producers still outstanding (0 → ready to issue).
     waiting_on: Box<[u8]>,
-    /// Ages of dependents registered for wake-up.
-    consumers: Box<[Vec<Age>]>,
+    /// First and last consumer node registered on each slot's op.
+    wake_head: Box<[u64]>,
+    wake_tail: Box<[u64]>,
+    /// Link after each node, at `node & (2 * slots - 1)`.
+    wake_next: Box<[u64]>,
 }
 
 impl Rob {
@@ -132,23 +158,34 @@ impl Rob {
         Rob {
             age0: 0,
             len: 0,
+            fetched: 0,
             mask: slots as u64 - 1,
             op: vec![MicroOp::alu(0, [0, 0]); slots].into_boxed_slice(),
             state: vec![ExecState::Waiting; slots].into_boxed_slice(),
             mem_phase: vec![MemPhase::PreAgen; slots].into_boxed_slice(),
             waiting_on: vec![0; slots].into_boxed_slice(),
-            consumers: (0..slots).map(|_| Vec::new()).collect(),
+            wake_head: vec![NIL; slots].into_boxed_slice(),
+            wake_tail: vec![NIL; slots].into_boxed_slice(),
+            wake_next: vec![NIL; 2 * slots].into_boxed_slice(),
         }
     }
 
+    /// Dispatched ops in the reorder buffer.
     #[inline]
     fn len(&self) -> usize {
         self.len
     }
 
-    /// Slot of `age`, or `None` if the op is not in the window (it
-    /// committed or was flushed — flushed ages are never re-used, so any
-    /// stale age falls below `age0`). Checked against the live range in
+    /// Fetched ops waiting for dispatch.
+    #[inline]
+    fn fetched(&self) -> usize {
+        self.fetched
+    }
+
+    /// Slot of dispatched op `age`, or `None` if the op is not in the
+    /// reorder buffer (it committed or was flushed — flushed ages are
+    /// never re-used, so any stale age falls below `age0` — or it is
+    /// still waiting for dispatch). Checked against the live range in
     /// every build: a ring slot outside it may belong to another op.
     #[inline]
     fn index(&self, age: Age) -> Option<usize> {
@@ -160,55 +197,100 @@ impl Rob {
         }
     }
 
-    /// Slot of the oldest entry, if any.
+    /// Slot of the oldest dispatched op, if any.
     #[inline]
     fn head(&self) -> Option<usize> {
         (self.len > 0).then_some((self.age0 & self.mask) as usize)
     }
 
-    /// The in-flight ops, oldest first.
-    fn ops(&self) -> impl Iterator<Item = MicroOp> + '_ {
-        (self.age0..self.age0 + self.len as u64).map(|a| self.op[(a & self.mask) as usize])
+    /// Age and slot of the oldest fetched op, if any.
+    #[inline]
+    fn fetch_front(&self) -> Option<(Age, usize)> {
+        let age = self.age0 + self.len as u64;
+        (self.fetched > 0).then_some((age, (age & self.mask) as usize))
     }
 
-    fn push_back(&mut self, age: Age, op: MicroOp, waiting: u8, consumers: Vec<Age>) {
-        if self.len == 0 {
+    /// Every op in the ring, oldest first: the reorder buffer, then the
+    /// fetched ops.
+    fn ops(&self) -> impl Iterator<Item = MicroOp> + '_ {
+        let end = self.age0 + (self.len + self.fetched) as u64;
+        (self.age0..end).map(|a| self.op[(a & self.mask) as usize])
+    }
+
+    /// Fetch `op` as age `age`, the next age after the ring's youngest.
+    #[inline]
+    fn push_fetched(&mut self, age: Age, op: MicroOp) {
+        let live = self.len + self.fetched;
+        if live == 0 {
             self.age0 = age;
         }
         assert!(
-            self.age0 + self.len as u64 == age && (self.len as u64) <= self.mask,
-            "ROB ages must be dense and fit the ring (age {age}, window {}+{})",
+            self.age0 + live as u64 == age && (live as u64) <= self.mask,
+            "ring ages must be dense and fit the ring (age {age}, window {}+{live})",
             self.age0,
-            self.len
         );
-        let slot = (age & self.mask) as usize;
-        self.op[slot] = op;
+        self.op[(age & self.mask) as usize] = op;
+        self.fetched += 1;
+    }
+
+    /// Move the oldest fetched op into the reorder buffer, waiting on
+    /// `waiting` producers.
+    #[inline]
+    fn dispatch(&mut self, waiting: u8) {
+        let (_, slot) = self.fetch_front().expect("dispatch with nothing fetched");
         self.state[slot] = ExecState::Waiting;
         self.mem_phase[slot] = MemPhase::PreAgen;
         self.waiting_on[slot] = waiting;
-        self.consumers[slot] = consumers;
+        self.wake_head[slot] = NIL;
+        self.wake_tail[slot] = NIL;
         self.len += 1;
+        self.fetched -= 1;
     }
 
-    /// Pop the front entry, returning its consumer list for recycling.
-    fn pop_front(&mut self) -> Vec<Age> {
-        let slot = self.head().expect("pop from an empty ROB");
+    /// Retire the oldest dispatched op.
+    #[inline]
+    fn pop_front(&mut self) {
+        assert!(self.len > 0, "pop from an empty ROB");
         self.age0 += 1;
         self.len -= 1;
-        std::mem::take(&mut self.consumers[slot])
     }
 
-    /// Drop every entry, recycling consumer lists into `pool`.
-    fn clear_into(&mut self, pool: &mut Vec<Vec<Age>>) {
-        for a in self.age0..self.age0 + self.len as u64 {
-            let mut consumers = std::mem::take(&mut self.consumers[(a & self.mask) as usize]);
-            consumers.clear();
-            pool.push(consumers);
-        }
+    /// Drop every op, dispatched or fetched.
+    fn clear(&mut self) {
         self.len = 0;
+        self.fetched = 0;
     }
 
-    /// Front-entry summary for the watchdog panic message.
+    /// Register operand `operand` of the op of age `consumer` to wake
+    /// when the op in `producer_slot` finishes, after every consumer
+    /// registered before it.
+    #[inline]
+    fn add_waiter(&mut self, producer_slot: usize, consumer: Age, operand: usize) {
+        let node = consumer << 1 | operand as u64;
+        let link_mask = self.mask << 1 | 1;
+        self.wake_next[(node & link_mask) as usize] = NIL;
+        match self.wake_tail[producer_slot] {
+            NIL => self.wake_head[producer_slot] = node,
+            tail => self.wake_next[(tail & link_mask) as usize] = node,
+        }
+        self.wake_tail[producer_slot] = node;
+    }
+
+    /// Detach the wake-up list of the op in `slot`, returning its first
+    /// node (or `NIL`); walk it with [`Rob::next_waiter`].
+    #[inline]
+    fn take_waiters(&mut self, slot: usize) -> u64 {
+        self.wake_tail[slot] = NIL;
+        std::mem::replace(&mut self.wake_head[slot], NIL)
+    }
+
+    /// The node after `node` on its list (or `NIL`).
+    #[inline]
+    fn next_waiter(&self, node: u64) -> u64 {
+        self.wake_next[(node & (self.mask << 1 | 1)) as usize]
+    }
+
+    /// Oldest-op summary for the watchdog panic message.
     fn front_debug(&self) -> Option<(Age, OpClass, ExecState, MemPhase)> {
         self.head().map(|h| {
             (
@@ -339,7 +421,6 @@ pub struct Simulator<L: LoadStoreQueue, T: TraceSource> {
     /// prefix length a recording must capture to replay this run.
     trace_ops: u64,
 
-    fetch_queue: VecDeque<(Age, MicroOp)>,
     /// Ops pulled from the trace ahead of fetch ([`TRACE_BATCH`] at a
     /// time, amortising the generator's per-call work).
     trace_buf: VecDeque<MicroOp>,
@@ -385,9 +466,6 @@ pub struct Simulator<L: LoadStoreQueue, T: TraceSource> {
     /// Per-cycle working copy of the pending loads (reused so the stage
     /// allocates nothing in steady state).
     scratch_ages: Vec<Age>,
-    /// Recycled consumer lists (capacity survives an op's retirement, so
-    /// wake-up registration stops allocating once the pool is warm).
-    consumer_pool: Vec<Vec<Age>>,
 }
 
 /// Ops pulled from the trace source per refill of the fetch-side buffer.
@@ -406,13 +484,12 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
             now: 0,
             next_age: 1,
             trace_ops: 0,
-            fetch_queue: VecDeque::with_capacity(cfg.fetch_queue),
             trace_buf: VecDeque::with_capacity(TRACE_BATCH),
             replay: VecDeque::new(),
             fetch_blocked_on: None,
             fetch_resume_at: 0,
             last_fetch_line: u64::MAX,
-            rob: Rob::with_capacity(cfg.rob_size),
+            rob: Rob::with_capacity(cfg.rob_size + cfg.fetch_queue),
             iq_int: 0,
             iq_fp: 0,
             ready_int: AgeSet::new(),
@@ -428,7 +505,6 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
             scratch_promoted: Vec::new(),
             scratch_due: Vec::new(),
             scratch_ages: Vec::new(),
-            consumer_pool: Vec::new(),
             cfg,
             lsq,
             trace,
@@ -749,20 +825,21 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
     fn mark_done(&mut self, age: Age) {
         let i = self.rob.index(age).expect("waking a flushed op");
         self.rob.state[i] = ExecState::Done;
-        let mut consumers = std::mem::take(&mut self.rob.consumers[i]);
-        for &c in &consumers {
-            if let Some(j) = self.rob.index(c) {
-                debug_assert!(self.rob.waiting_on[j] > 0);
-                self.rob.waiting_on[j] -= 1;
-                let wake = self.rob.waiting_on[j] == 0 && self.rob.state[j] == ExecState::Waiting;
-                if wake {
-                    let class = self.rob.op[j].class;
-                    self.push_ready(c, class);
-                }
+        let mut node = self.rob.take_waiters(i);
+        while node != NIL {
+            let c = node >> 1;
+            // Consumers are younger than their producer and leave the
+            // ring only in a whole-ring flush, so each is still live.
+            let j = self.rob.index(c).expect("waking a flushed consumer");
+            node = self.rob.next_waiter(node);
+            debug_assert!(self.rob.waiting_on[j] > 0);
+            self.rob.waiting_on[j] -= 1;
+            let wake = self.rob.waiting_on[j] == 0 && self.rob.state[j] == ExecState::Waiting;
+            if wake {
+                let class = self.rob.op[j].class;
+                self.push_ready(c, class);
             }
         }
-        consumers.clear();
-        self.consumer_pool.push(consumers);
     }
 
     fn push_ready(&mut self, age: Age, class: OpClass) {
@@ -825,10 +902,7 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
                 OpClass::CondBranch => self.stats.branches += 1,
                 _ => {}
             }
-            let consumers = self.rob.pop_front();
-            if consumers.capacity() > 0 {
-                self.consumer_pool.push(consumers);
-            }
+            self.rob.pop_front();
             self.stats.committed += 1;
             self.last_commit_cycle = self.now;
             events += 1;
@@ -1012,9 +1086,10 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
     fn dispatch_stage(&mut self) -> u64 {
         let mut events = 0;
         for _ in 0..self.cfg.dispatch_width {
-            let Some(&(age, op)) = self.fetch_queue.front() else {
+            let Some((age, slot)) = self.rob.fetch_front() else {
                 break;
             };
+            let op = self.rob.op[slot];
             if self.rob.len() == self.cfg.rob_size {
                 break;
             }
@@ -1028,18 +1103,17 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
             if op.class.is_mem() && !self.lsq.can_dispatch(op.class.is_store()) {
                 break;
             }
-            self.fetch_queue.pop_front();
 
             // Resolve producers and register for wake-up.
             let mut waiting = 0u8;
-            for d in op.deps {
+            for (operand, d) in op.deps.into_iter().enumerate() {
                 if d == 0 || d as u64 > age {
                     continue;
                 }
                 let producer = age - d as u64;
                 if let Some(j) = self.rob.index(producer) {
                     if self.rob.state[j] != ExecState::Done {
-                        self.rob.consumers[j].push(age);
+                        self.rob.add_waiter(j, age, operand);
                         waiting += 1;
                     }
                 }
@@ -1062,12 +1136,7 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
             } else {
                 self.iq_int += 1;
             }
-            self.rob.push_back(
-                age,
-                op,
-                waiting,
-                self.consumer_pool.pop().unwrap_or_default(),
-            );
+            self.rob.dispatch(waiting);
             if waiting == 0 {
                 self.push_ready(age, op.class);
             }
@@ -1085,7 +1154,7 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
         }
         let mut events = 0;
         for _ in 0..self.cfg.fetch_width {
-            if self.fetch_queue.len() == self.cfg.fetch_queue {
+            if self.rob.fetched() == self.cfg.fetch_queue {
                 break;
             }
             let op = match self.replay.pop_front() {
@@ -1113,7 +1182,7 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
             }
             let age = self.next_age;
             self.next_age += 1;
-            self.fetch_queue.push_back((age, op));
+            self.rob.push_fetched(age, op);
             events += 1;
 
             if let Some(info) = op.branch_info() {
@@ -1153,12 +1222,10 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
     /// Whole-pipeline flush (§3.3): every uncommitted op is replayed.
     fn flush_pipeline(&mut self) {
         let mut replay: VecDeque<MicroOp> = self.rob.ops().collect();
-        replay.extend(self.fetch_queue.iter().map(|&(_, op)| op));
         replay.append(&mut self.replay);
         self.replay = replay;
 
-        self.rob.clear_into(&mut self.consumer_pool);
-        self.fetch_queue.clear();
+        self.rob.clear();
         self.ready_int.clear();
         self.ready_fp.clear();
         self.pending_loads.clear();
@@ -1243,22 +1310,22 @@ mod tests {
     }
 
     /// The age-indexed ring through many power-of-two wraps: a sliding
-    /// window of dense ages against a reference deque, with flushes
-    /// mid-window. `index` must answer `None` outside `[age0, age0 + len)`
-    /// and after `clear_into`, even where the slot is recycled.
+    /// window of dense dispatched ages against a reference deque, with
+    /// flushes mid-window. `index` must answer `None` outside
+    /// `[age0, age0 + len)` and after `clear`, even where the slot is
+    /// recycled.
     #[test]
     fn rob_ring_indexes_exactly_the_live_window() {
         let cap = 12; // 16 slots
         let mut rob = Rob::with_capacity(cap);
         let mut model: VecDeque<(Age, u64)> = VecDeque::new();
-        let mut pool = Vec::new();
         let mut rng = 0x5eed_u64;
         let mut next_age = 1u64;
         let (mut flushes, mut last_age0) = (0, 0);
         for step in 0..(1u64 << 16) {
             let roll = splitmix(&mut rng);
             if roll.is_multiple_of(512) {
-                rob.clear_into(&mut pool);
+                rob.clear();
                 for &(age, _) in &model {
                     assert_eq!(rob.index(age), None, "step {step}: flushed age {age}");
                 }
@@ -1270,8 +1337,8 @@ mod tests {
                 rob.pop_front();
                 model.pop_front();
             } else if model.len() < cap {
-                let op = MicroOp::alu(roll, [0, 0]);
-                rob.push_back(next_age, op, 0, Vec::new());
+                rob.push_fetched(next_age, MicroOp::alu(roll, [0, 0]));
+                rob.dispatch(0);
                 model.push_back((next_age, roll));
                 next_age += 1;
             }
@@ -1302,6 +1369,193 @@ mod tests {
         assert!(
             flushes > 16 && next_age > 16 * 1024,
             "must flush and wrap many times"
+        );
+    }
+
+    /// Fetched ops share the ring with the reorder buffer: fetch pushes,
+    /// dispatches, commits and flushes interleaved across many wraps,
+    /// against two reference deques (reorder buffer, fetched ops). Only
+    /// dispatched ops are `index`ed, `fetch_front` is the oldest fetched
+    /// op, and a flush replays the reorder buffer then the fetched ops.
+    /// One geometry fills its slots exactly (12 + 4 = 16), one does not.
+    #[test]
+    fn rob_ring_holds_fetched_ops_behind_the_rob() {
+        for (rob_cap, fq_cap) in [(12usize, 4usize), (9, 6)] {
+            let mut rob = Rob::with_capacity(rob_cap + fq_cap);
+            let slots = (rob_cap + fq_cap).next_power_of_two() as u64;
+            let mut dispatched: VecDeque<(Age, u64)> = VecDeque::new();
+            let mut fetched: VecDeque<(Age, u64)> = VecDeque::new();
+            let mut rng = 0xfe7c_u64 ^ rob_cap as u64;
+            let (mut next_age, mut flushes, mut full) = (1u64, 0, 0);
+            for step in 0..(1u64 << 16) {
+                let roll = splitmix(&mut rng);
+                match roll % 7 {
+                    _ if roll.is_multiple_of(401) => {
+                        let replay: Vec<u64> = rob.ops().map(|op| op.pc).collect();
+                        let want: Vec<u64> = dispatched
+                            .iter()
+                            .chain(&fetched)
+                            .map(|&(_, pc)| pc)
+                            .collect();
+                        assert_eq!(replay, want, "step {step}: replay order");
+                        rob.clear();
+                        for &(age, _) in dispatched.iter().chain(&fetched) {
+                            assert_eq!(rob.index(age), None, "step {step}: flushed age {age}");
+                        }
+                        dispatched.clear();
+                        fetched.clear();
+                        flushes += 1;
+                        next_age += 1 + roll % 5;
+                    }
+                    0..=2 if fetched.len() < fq_cap => {
+                        rob.push_fetched(next_age, MicroOp::alu(roll, [0, 0]));
+                        fetched.push_back((next_age, roll));
+                        next_age += 1;
+                    }
+                    3 | 4 if !fetched.is_empty() && dispatched.len() < rob_cap => {
+                        rob.dispatch(0);
+                        dispatched.push_back(fetched.pop_front().unwrap());
+                    }
+                    5 | 6 if !dispatched.is_empty() => {
+                        rob.pop_front();
+                        dispatched.pop_front();
+                    }
+                    _ => {}
+                }
+                if dispatched.len() + fetched.len() == slots as usize {
+                    full += 1;
+                }
+                assert_eq!(
+                    (rob.len(), rob.fetched()),
+                    (dispatched.len(), fetched.len())
+                );
+                match (rob.fetch_front(), fetched.front()) {
+                    (None, None) => {}
+                    (Some((age, slot)), Some(&(want, pc))) => {
+                        assert_eq!(age, want, "step {step}");
+                        assert_eq!(slot as u64, want & (slots - 1));
+                        assert_eq!(rob.op[slot].pc, pc, "step {step}");
+                    }
+                    (got, want) => panic!("step {step}: fetch front {got:?} vs {want:?}"),
+                }
+                assert!(rob
+                    .ops()
+                    .map(|op| op.pc)
+                    .eq(dispatched.iter().chain(&fetched).map(|&(_, pc)| pc)));
+                let lo = dispatched
+                    .front()
+                    .or(fetched.front())
+                    .map_or(next_age, |&(a, _)| a);
+                for probe in lo.saturating_sub(8)..next_age + 8 {
+                    let live = dispatched.iter().find(|&&(a, _)| a == probe);
+                    match (rob.index(probe), live) {
+                        (None, None) => {}
+                        (Some(slot), Some(&(_, pc))) => {
+                            assert_eq!(slot as u64, probe & (slots - 1));
+                            assert_eq!(rob.op[slot].pc, pc, "step {step} age {probe}");
+                        }
+                        (got, want) => panic!("step {step} age {probe}: {got:?} vs {want:?}"),
+                    }
+                }
+            }
+            assert!(
+                flushes > 16 && next_age > 16 * 1024,
+                "must flush and wrap many times"
+            );
+            if rob_cap + fq_cap == slots as usize {
+                assert!(full > 0, "the exact geometry must fill every slot");
+            }
+        }
+    }
+
+    /// Walk and detach the wake-up list of `slot` as `mark_done` does,
+    /// returning the consumer ages in wake order (once per node).
+    fn wake_order(rob: &mut Rob, slot: usize) -> Vec<Age> {
+        let mut woken = Vec::new();
+        let mut node = rob.take_waiters(slot);
+        while node != NIL {
+            woken.push(node >> 1);
+            node = rob.next_waiter(node);
+        }
+        woken
+    }
+
+    /// The intrusive wake-up lists against a `Vec<Vec<Age>>` reference
+    /// (one consumer vector per producer, as the pipeline kept before):
+    /// random dependencies on live producers, including both operands
+    /// naming one producer, random completions in any order, in-order
+    /// commit of finished ops and whole-ring flushes. Every completion
+    /// must wake the same consumers, each once per registered operand,
+    /// in the same order.
+    #[test]
+    fn wake_lists_match_a_vec_of_vecs() {
+        let cap = 24; // 32 slots
+        let mut rob = Rob::with_capacity(cap);
+        // Per live op, oldest first: (age, done, registered consumers).
+        let mut model: VecDeque<(Age, bool, Vec<Age>)> = VecDeque::new();
+        let mut rng = 0x3a4e_u64;
+        let mut next_age = 1u64;
+        let (mut flushes, mut doubles, mut wakes) = (0, 0, 0u64);
+        for step in 0..(1u64 << 15) {
+            let roll = splitmix(&mut rng);
+            if roll.is_multiple_of(997) {
+                rob.clear();
+                model.clear();
+                flushes += 1;
+                next_age += 1 + roll % 3;
+            } else if roll.is_multiple_of(3) && !model.is_empty() {
+                // Complete a random unfinished op.
+                let k = (roll >> 8) as usize % model.len();
+                if !model[k].1 {
+                    let (age, _, want) = std::mem::replace(&mut model[k], (0, true, Vec::new()));
+                    model[k].0 = age;
+                    let slot = rob.index(age).unwrap();
+                    rob.state[slot] = ExecState::Done;
+                    assert_eq!(wake_order(&mut rob, slot), want, "step {step}: age {age}");
+                    wakes += want.len() as u64;
+                }
+            } else if roll % 3 == 1 && model.front().is_some_and(|m| m.1) {
+                rob.pop_front();
+                model.pop_front();
+            } else if model.len() < cap {
+                // Each operand names a live producer, an absent one or
+                // none; both may name the same producer.
+                let age = next_age;
+                next_age += 1;
+                rob.push_fetched(age, MicroOp::alu(roll, [0, 0]));
+                let first = (roll >> 16) % 6;
+                let second = if roll & (1 << 40) != 0 {
+                    first
+                } else {
+                    (roll >> 24) % 6
+                };
+                let mut waiting = 0;
+                for (operand, d) in [first, second].into_iter().enumerate() {
+                    let producer = age.wrapping_sub(d);
+                    let Some(m) = model.iter_mut().find(|m| m.0 == producer && d != 0) else {
+                        continue;
+                    };
+                    let j = rob.index(producer).unwrap();
+                    if !m.1 {
+                        rob.add_waiter(j, age, operand);
+                        m.2.push(age);
+                        waiting += 1;
+                    }
+                }
+                if waiting == 2 && first == second {
+                    doubles += 1;
+                }
+                rob.dispatch(waiting);
+                model.push_back((age, false, Vec::new()));
+            }
+        }
+        assert!(
+            flushes > 16 && next_age > 32 * 64,
+            "must flush and wrap many times"
+        );
+        assert!(
+            doubles > 100 && wakes > 1000,
+            "duplicates {doubles}, wakes {wakes}"
         );
     }
 }
