@@ -1,7 +1,7 @@
 //! Deterministic SVG bar charts for the reproduction book.
 //!
-//! The same data the ASCII charts ([`crate::table::bar_chart`]) render on
-//! the console, as self-contained SVG files the Markdown pages embed.
+//! A figure's table as a self-contained SVG file the Markdown page
+//! embeds.
 //! Output is a pure function of the table contents — no timestamps, no
 //! randomness — so regenerating a book produces byte-identical charts
 //! (the invariant the `report-smoke` CI job diffs).

@@ -1,9 +1,10 @@
 //! # exp-harness — regenerating every table and figure of the paper
 //!
-//! One experiment module per paper artefact:
+//! One experiment module per paper artefact, each rendered as a page of
+//! the reproduction book (`docs/book/<page>.md`):
 //!
-//! | id | artefact | module |
-//! |----|----------|--------|
+//! | book page | artefact | module |
+//! |-----------|----------|--------|
 //! | `fig1` | Figure 1 — ARB IPC vs unbounded LSQ | [`experiments::fig1`] |
 //! | `fig3` / `fig4` | SharedLSQ occupancy / sizing CDF | [`experiments::fig3_4`] |
 //! | `tab1` / `delay` | cache access times / §3.6 LSQ delays | [`experiments::tab1_delay`] |
@@ -11,11 +12,11 @@
 //! | `tab456` | energy/area constants, regenerated | [`experiments::tab456`] |
 //! | `summary` | §4 headline numbers | [`experiments::paired`] |
 //!
-//! The `samie-exp` binary (`src/main.rs`) exposes each as a subcommand and
-//! writes CSVs under `results/`. Simulation length is configurable; the
-//! paper uses 100 M instructions per benchmark after 100 M warm-up, the
-//! harness defaults to 1 M after 200 k (scaled for wall-clock; the
-//! occupancy and energy statistics are flat well before that).
+//! [`report::generate_book`] (`samie-exp report`) is the one way to
+//! regenerate them. Simulation length is configurable; the paper uses
+//! 100 M instructions per benchmark after 100 M warm-up, the harness
+//! defaults to 1 M after 200 k (scaled for wall-clock; the occupancy and
+//! energy statistics are flat well before that).
 //!
 //! Beyond the paper's fixed tables, [`sweep`] runs declarative design-space
 //! grids (`samie-exp sweep`) and the throughput benchmark tracked by CI
@@ -36,12 +37,6 @@
 //! whole paper — tables, figures, SVG charts — into `docs/book/` from
 //! the same cache, making the complete reproduction one idempotent
 //! command.
-//!
-//! Because the store is multi-process safe, one grid also spreads across
-//! worker **processes**: `samie-exp sweep --shard i/n` runs one slice
-//! ([`sweep::ShardSpec`]) into a shared store, and a final unsharded
-//! `sweep` over that store merges the slices — deterministically
-//! byte-identical to a serial sweep.
 //!
 //! ## The front door
 //!
@@ -71,8 +66,6 @@ pub use fuzz::{differential_check, run_fuzz, FuzzConfig, FuzzMismatch, FuzzRepor
 pub use report::{generate_book, BookSummary, ReportOptions};
 pub use runner::{parallel_map_with, run_point, PairedRun, PointCache, RunConfig};
 pub use samie_lsq::{DesignHandle, DesignParseError, DesignSpec, LsqFactory};
-pub use session::{DesignRun, SessionEvent, SessionReport, SimSession};
-pub use sweep::{
-    designs_from_specs, run_sweep, ShardSpec, SweepGrid, SweepOptions, SweepPoint, SweepReport,
-};
+pub use session::{record_trace, DesignRun, SessionEvent, SessionReport, SimSession};
+pub use sweep::{designs_from_specs, run_sweep, SweepGrid, SweepOptions, SweepPoint, SweepReport};
 pub use table::Table;

@@ -1,22 +1,12 @@
-//! `samie-exp` — regenerate the paper's tables and figures, and run
-//! design-space sweeps / throughput benchmarks beyond them.
+//! `samie-exp` — regenerate the paper's tables and figures as the
+//! reproduction book, and run design-space sweeps / throughput
+//! benchmarks beyond them.
 //!
 //! ```text
-//! samie-exp <experiment> [--instrs N] [--warmup N] [--seed N] [--out DIR] [--quick] [--chart]
-//!
-//! experiments:
-//!   fig1      ARB IPC vs unbounded LSQ
-//!   fig3      SharedLSQ occupancy (sizing study)
-//!   fig4      programs vs SharedLSQ entries (from the same runs)
-//!   tab1      cache access times (cacti-lite vs paper)
-//!   delay     §3.6 LSQ component delays
-//!   fig5..fig12  IPC / deadlocks / energy / area (paired runs)
-//!   tab456    energy & area constants, regenerated
-//!   summary   headline numbers vs the paper
-//!   all       everything above
+//! samie-exp <command> [--instrs N] [--warmup N] [--seed N] [--out DIR] [--quick] ...
 //!
 //! samie-exp sweep [--designs LIST] [--bench LIST|all] [--seeds LIST]
-//!                 [--cfg KEY:VAL,...] [--jobs N] [--shard I/N] [common flags]
+//!                 [--cfg KEY:VAL,...] [--jobs N] [common flags]
 //!   design-space grid: LSQ designs x workloads x seeds -> CSV +
 //!   BENCH_sweep.json (+ timing-zeroed BENCH_sweep.det.{json,csv}, the
 //!   byte-comparable artifacts). Designs are DesignSpec strings (run
@@ -27,12 +17,6 @@
 //!   --cfg overrides core-configuration fields of the paper machine by
 //!   their SimConfig::canonical tags (fw dw iwi iwf cw fq rob iqi iqf mr
 //!   ports wd), e.g. `--cfg rob:128,ports:2`.
-//!
-//!   --shard i/n runs only worker i's slice of the grid against the
-//!   shared --store. Run n such workers (as separate processes), then a
-//!   plain `sweep` over the same store: it serves every point a worker
-//!   finished, simulates any stragglers, and writes a report whose
-//!   deterministic JSON/CSV is byte-identical to a serial run.
 //!
 //! samie-exp bench [--baseline FILE] [--max-regression X] [common flags]
 //!   throughput-tracking grid (default: the paper trio x gzip/swim/ammp;
@@ -58,7 +42,8 @@
 //!                  [--expect-warm X] [common flags]
 //!   regenerate the whole reproduction book (tables 1/4-6, figs 1/3-12,
 //!   summary) as Markdown + SVG into DIR (default docs/book), consulting
-//!   the experiment store so re-runs are nearly free. --expect-warm X
+//!   the experiment store so re-runs are nearly free. This is the one
+//!   way to regenerate a paper artefact. --expect-warm X
 //!   exits 5 unless the run was all cache hits with a warm speedup >= X
 //!   (the report-smoke CI gate).
 //!
@@ -89,8 +74,9 @@
 //! to measure simulation throughput.
 //!
 //! A malformed flag (unknown, missing its value, or with an unparseable
-//! value) prints one `samie-exp: ...` line naming the flag and exits 2.
-//! `--help` lists every flag (the `FLAGS` table) and command.
+//! value) prints one `samie-exp: ...` line naming the flag and exits 2;
+//! so does a missing or unknown command. `--help` lists every flag (the
+//! `FLAGS` table) and command.
 //! ```
 
 use std::collections::BTreeMap;
@@ -98,17 +84,16 @@ use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use exp_harness::experiments::{fig1, fig3_4, paired, tab1_delay, tab456};
 use exp_harness::fuzz::{run_fuzz, FuzzConfig};
 use exp_harness::report::{generate_book, ReportOptions};
-use exp_harness::runner::{PairedRun, PointCache, RunConfig};
-use exp_harness::session::SimSession;
-use exp_harness::sweep::{check_regression, run_sweep, ShardSpec, SweepGrid, SweepOptions};
+use exp_harness::runner::{PointCache, RunConfig};
+use exp_harness::session::{record_trace, SimSession};
+use exp_harness::sweep::{check_regression, run_sweep, SweepGrid, SweepOptions};
 use exp_harness::table::Table;
 use exp_harness::{designs_from_specs, DesignHandle, DesignSpec, SIM_VERSION};
 use exp_store::{ExperimentStore, StoreError};
 use ooo_sim::SimConfig;
-use spec_traces::{all_benchmarks, find_workload, Workload};
+use spec_traces::{find_workload, Workload};
 
 /// `println!` through [`write_stdout`].
 macro_rules! outln {
@@ -136,15 +121,10 @@ fn write_stdout(text: std::fmt::Arguments) {
     }
 }
 
-/// What the first positional argument asks for. The paper experiment ids
-/// (`fig1`, `tab456`, `summary`, ...) stay data — they select table
-/// emitters — but every *mode* is typed here, so an unknown command
-/// fails up front with a suggestion instead of falling through to the
-/// experiment loop.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What the first positional argument asks for. An unknown command
+/// fails up front with a suggestion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Command {
-    /// Regenerate paper artefacts (`fig1`..`tab456`, `summary`, `all`).
-    Paper(String),
     Sweep,
     Bench,
     Designs,
@@ -155,12 +135,6 @@ enum Command {
     /// Real-ISA frontend: `rv asm FILE.s` / `rv run <FILE.s|rv:NAME>`.
     Rv,
 }
-
-/// Paper experiment ids `Command::Paper` accepts.
-const PAPER_IDS: &[&str] = &[
-    "fig1", "fig3", "fig4", "tab1", "delay", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-    "fig11", "fig12", "tab456", "summary", "all",
-];
 
 /// The mode commands, by the word that selects them.
 const MODES: [(&str, Command); 8] = [
@@ -177,21 +151,17 @@ const MODES: [(&str, Command); 8] = [
 impl Command {
     fn parse(word: &str) -> Result<Command, String> {
         if let Some((_, mode)) = MODES.iter().find(|(w, _)| *w == word) {
-            return Ok(mode.clone());
+            return Ok(*mode);
         }
-        if PAPER_IDS.contains(&word) {
-            return Ok(Command::Paper(word.to_string()));
-        }
-        let known: Vec<&str> = PAPER_IDS
-            .iter()
-            .copied()
-            .chain(MODES.iter().map(|(w, _)| *w))
-            .collect();
+        let known: Vec<&str> = MODES.iter().map(|(w, _)| *w).collect();
         let mut msg = format!("unknown command `{word}`");
         if let Some(best) = closest(word, &known) {
             msg.push_str(&format!(" (did you mean `{best}`?)"));
         } else {
-            msg.push_str(&format!(" (known: {})", known.join(", ")));
+            msg.push_str(&format!(
+                " (known: {}; every paper table and figure is a page of `report`)",
+                known.join(", ")
+            ));
         }
         Err(msg)
     }
@@ -223,16 +193,14 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// The parsed command line. Every field but `command` and
-/// `positionals` is set through [`FLAGS`]; `None` means "not given", and
-/// each command applies its own default.
+/// The parsed command line, apart from the command word. Every field
+/// but `positionals` is set through [`FLAGS`]; `None` means "not given",
+/// and each command applies its own default.
 struct Args {
-    command: Command,
     instrs: Option<u64>,
     warmup: Option<u64>,
     seed: u64,
     out: Option<PathBuf>,
-    chart: bool,
     designs: Option<String>,
     benchmarks: Option<String>,
     seeds: Option<String>,
@@ -246,7 +214,6 @@ struct Args {
     no_cache: bool,
     gc: bool,
     expect_warm: Option<f64>,
-    shard: Option<ShardSpec>,
     dump: bool,
     /// Extra positionals after the command word (only `rv` takes any:
     /// the subcommand verb and its target).
@@ -256,12 +223,10 @@ struct Args {
 impl Default for Args {
     fn default() -> Self {
         Args {
-            command: Command::Paper("all".to_string()),
             instrs: None,
             warmup: None,
             seed: RunConfig::default().seed,
             out: None,
-            chart: false,
             designs: None,
             benchmarks: None,
             seeds: None,
@@ -274,7 +239,6 @@ impl Default for Args {
             no_cache: false,
             gc: false,
             expect_warm: None,
-            shard: None,
             dump: false,
             positionals: Vec::new(),
         }
@@ -299,7 +263,7 @@ fn number<T: std::str::FromStr>(v: &str) -> Result<T, String> {
 
 /// Every flag `samie-exp` accepts, as (name, value hint for `--help`,
 /// setter) — the one list [`parse_args`] and [`usage`] read.
-const FLAGS: [(&str, &str, Set); 20] = [
+const FLAGS: [(&str, &str, Set); 18] = [
     (
         "--instrs",
         "N",
@@ -324,7 +288,6 @@ const FLAGS: [(&str, &str, Set); 20] = [
         Set::Parse(|a, v| number(v).map(|n| a.seed = n)),
     ),
     ("--out", "DIR", Set::Text(|a, v| a.out = Some(v.into()))),
-    ("--chart", "", Set::Switch(|a| a.chart = true)),
     ("--designs", "LIST", Set::Text(|a, v| a.designs = Some(v))),
     ("--bench", "LIST", Set::Text(|a, v| a.benchmarks = Some(v))),
     ("--seeds", "LIST", Set::Text(|a, v| a.seeds = Some(v))),
@@ -337,11 +300,6 @@ const FLAGS: [(&str, &str, Set); 20] = [
         "--jobs",
         "N",
         Set::Parse(|a, v| number(v).map(|n| a.jobs = n)),
-    ),
-    (
-        "--shard",
-        "I/N",
-        Set::Parse(|a, v| v.parse().map(|s| a.shard = Some(s))),
     ),
     (
         "--baseline",
@@ -369,13 +327,9 @@ const FLAGS: [(&str, &str, Set); 20] = [
     ),
 ];
 
-/// The `--help` text, built from [`PAPER_IDS`], [`MODES`] and [`FLAGS`].
+/// The `--help` text, built from [`MODES`] and [`FLAGS`].
 fn usage() -> String {
-    let commands: Vec<&str> = PAPER_IDS
-        .iter()
-        .copied()
-        .chain(MODES.iter().map(|(w, _)| *w))
-        .collect();
+    let commands: Vec<&str> = MODES.iter().map(|(w, _)| *w).collect();
     let flags: Vec<String> = FLAGS
         .iter()
         .map(|(name, hint, _)| match *hint {
@@ -390,9 +344,9 @@ fn usage() -> String {
     )
 }
 
-/// Parse the command line. A malformed flag is an `Err` holding one
-/// diagnostic line that names it.
-fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+/// Parse the command line. A malformed flag, or a missing or unknown
+/// command, is an `Err` holding one diagnostic line.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(Command, Args), String> {
     let mut args = Args::default();
     let mut command = None;
     let mut it = argv.into_iter();
@@ -423,10 +377,8 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             return Err(format!("unexpected argument `{a}`"));
         }
     }
-    if let Some(c) = command {
-        args.command = c;
-    }
-    Ok(args)
+    let command = command.ok_or_else(|| format!("no command given; {}", usage()))?;
+    Ok((command, args))
 }
 
 /// `fuzz` entry point; returns the process exit code (4 on mismatch).
@@ -490,6 +442,17 @@ impl Args {
         }
     }
 
+    /// The run length of `sweep`, `bench` and `report`: [`Self::rc`]
+    /// over the standard default, or the usage-error exit code when no
+    /// instruction would be measured.
+    fn measured_rc(&self) -> Result<RunConfig, i32> {
+        let rc = self.rc(RunConfig::default());
+        if rc.instrs == 0 {
+            return Err(usage_error("--instrs", "must be positive"));
+        }
+        Ok(rc)
+    }
+
     /// Run length of the one-off commands (`record`, `rv run`):
     /// [`RunConfig::quick`] unless `--instrs`/`--warmup`/`--quick` was
     /// given, in which case the standard default fills the other.
@@ -547,12 +510,14 @@ fn run_record_command(args: &Args) -> i32 {
     let path = args
         .out("results")
         .join(format!("{}-s{}.strc", workload.name(), rc.seed));
-    let session = SimSession::new(&designs[0], &workload)
-        .run_config(rc)
-        .record(&path);
+    let session = SimSession::new(&designs[0], &workload).run_config(rc);
     let report = designs[1..].iter().fold(session, |s, d| s.design(d)).run();
     for run in &report.runs {
         outln!("  {:<28} ipc {:.4}", run.id, run.stats.ipc());
+    }
+    if let Err(e) = record_trace(&workload, rc.seed, report.ops_consumed, &path) {
+        eprintln!("cannot record to {}: {e}", path.display());
+        return 1;
     }
     outln!(
         "recorded {} ops of `{}` -> {}",
@@ -615,10 +580,7 @@ fn open_cache(args: &Args, disabled: bool) -> CacheState {
 /// replacing its axis. A bad value is the usage-error exit code, after
 /// one line naming its flag.
 fn build_grid(args: &Args, is_bench: bool) -> Result<SweepGrid, i32> {
-    let rc = args.rc(RunConfig::default());
-    if rc.instrs == 0 {
-        return Err(usage_error("--instrs", "must be positive"));
-    }
+    let rc = args.measured_rc()?;
     let mut grid = if is_bench {
         SweepGrid::bench_default(rc)
     } else {
@@ -654,15 +616,6 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
         Ok(g) => g,
         Err(code) => return code,
     };
-    // Shards hand their results over through the store, and `bench`
-    // exists to measure raw simulation throughput — the modes are
-    // mutually exclusive.
-    if args.shard.is_some() && (is_bench || args.no_cache) {
-        return usage_error(
-            "--shard",
-            "needs the experiment store: use `sweep` without --no-cache",
-        );
-    }
     // `bench` is a throughput tracker: its number must be comparable
     // across hosts with different core counts, so it runs serially
     // unless a worker count is requested explicitly — and it never
@@ -673,17 +626,9 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
         args.jobs
     };
     let cache = open_cache(args, is_bench || args.no_cache);
-    if args.shard.is_some() && cache.cache().is_none() {
-        eprintln!("a sharded worker without a store would simulate into the void");
-        return 2;
-    }
     let n = grid.designs.len() * grid.benchmarks.len() * grid.seeds.len();
-    let shard_note = args
-        .shard
-        .map(|s| format!(" [shard {s}]"))
-        .unwrap_or_default();
     eprintln!(
-        "{mode}: {} designs x {} benchmarks x {} seeds = {n} points ({} + {} instrs each){shard_note}",
+        "{mode}: {} designs x {} benchmarks x {} seeds = {n} points ({} + {} instrs each)",
         grid.designs.len(),
         grid.benchmarks.len(),
         grid.seeds.len(),
@@ -695,7 +640,6 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
         &SweepOptions {
             jobs,
             cache: cache.cache(),
-            shard: args.shard,
         },
     );
     report.mode = mode;
@@ -718,9 +662,13 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
         report.wall.as_secs_f64(),
         report.total_sim_ips() / 1e6,
     );
-    match report.write(&args.out("results")) {
+    let out = args.out("results");
+    match report.write(&out) {
         Ok(p) => eprintln!("  -> {}", p.display()),
-        Err(e) => eprintln!("  (json not written: {e})"),
+        Err(e) => {
+            eprintln!("cannot write the {mode} report to {}: {e}", out.display());
+            return 1;
+        }
     }
     if let Some(path) = &args.baseline {
         let baseline = match std::fs::read_to_string(path) {
@@ -747,7 +695,10 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
 /// `report` entry point: regenerate the reproduction book.
 fn run_report_command(args: &Args) -> i32 {
     let out = args.out("docs/book");
-    let rc = args.rc(RunConfig::default());
+    let rc = match args.measured_rc() {
+        Ok(rc) => rc,
+        Err(code) => return code,
+    };
     let cache = open_cache(args, args.no_cache);
     if let Some(reason) = cache.failure() {
         if args.expect_warm.is_some() {
@@ -1040,101 +991,29 @@ fn run_rv_run(args: &Args, target: &str) -> i32 {
     0
 }
 
-fn emit(t: &Table, out: &std::path::Path, chart: bool) {
-    outln!("{}", t.render());
-    if chart && t.headers.len() >= 2 {
-        // Chart the last column against the first (the key series of
-        // every figure table).
-        outln!(
-            "{}",
-            exp_harness::table::bar_chart(t, 0, t.headers.len() - 1, 50)
-        );
-    }
-    match t.write_csv(out) {
-        Ok(p) => eprintln!("  -> {}", p.display()),
-        Err(e) => eprintln!("  (csv not written: {e})"),
-    }
-}
-
 fn main() {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(a) => a,
+    let (command, args) = match parse_args(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("samie-exp: {e}");
             std::process::exit(2);
         }
     };
-    let exp = match &args.command {
+    let code = match command {
         Command::Designs => {
             outln!("registered design kinds (comma-separate specs for --designs):");
             for (kind, help) in DesignSpec::KINDS {
                 outln!("  {kind:<14} {help}");
             }
-            return;
+            0
         }
-        Command::Sweep => std::process::exit(run_sweep_command(&args, false)),
-        Command::Bench => std::process::exit(run_sweep_command(&args, true)),
-        Command::Fuzz => std::process::exit(run_fuzz_command(&args)),
-        Command::Record => std::process::exit(run_record_command(&args)),
-        Command::Report => std::process::exit(run_report_command(&args)),
-        Command::Store => std::process::exit(run_store_command(&args)),
-        Command::Rv => std::process::exit(run_rv_command(&args)),
-        Command::Paper(id) => id.clone(),
+        Command::Sweep => run_sweep_command(&args, false),
+        Command::Bench => run_sweep_command(&args, true),
+        Command::Fuzz => run_fuzz_command(&args),
+        Command::Record => run_record_command(&args),
+        Command::Report => run_report_command(&args),
+        Command::Store => run_store_command(&args),
+        Command::Rv => run_rv_command(&args),
     };
-    let rc = args.rc(RunConfig::default());
-    let exp = exp.as_str();
-    eprintln!(
-        "running `{exp}` with {} measured / {} warm-up instructions per benchmark (seed {})",
-        rc.instrs, rc.warmup, rc.seed
-    );
-
-    // `Command::parse` admits only PAPER_IDS, so every id emits something.
-    let wants = |id: &str| exp == id || exp == "all";
-    let out = args.out("results");
-    let show = |t: &Table| emit(t, &out, args.chart);
-    if wants("fig1") {
-        eprintln!("ARB sweep (17 configurations x 26 benchmarks)...");
-        show(&fig1::table(&fig1::run_with(&rc, None, all_benchmarks())));
-    }
-    if wants("fig3") || wants("fig4") {
-        eprintln!("SharedLSQ sizing study (3 geometries x 26 benchmarks)...");
-        let runs = fig3_4::run_with(&rc, None, all_benchmarks());
-        if exp != "fig4" {
-            show(&fig3_4::fig3_table(&runs));
-        }
-        if exp != "fig3" {
-            show(&fig3_4::fig4_table(&runs));
-        }
-    }
-    if wants("tab1") {
-        show(&tab1_delay::tab1_table());
-    }
-    if wants("delay") {
-        show(&tab1_delay::delay_table());
-    }
-    type PairedTable = fn(&[PairedRun]) -> Table;
-    let paired_tables: [(&str, PairedTable); 9] = [
-        ("fig5", paired::fig5_table),
-        ("fig6", paired::fig6_table),
-        ("fig7", paired::fig7_table),
-        ("fig8", paired::fig8_table),
-        ("fig9", paired::fig9_table),
-        ("fig10", paired::fig10_table),
-        ("fig11", paired::fig11_table),
-        ("fig12", paired::fig12_table),
-        ("summary", paired::summary_table),
-    ];
-    if paired_tables.iter().any(|(id, _)| wants(id)) {
-        eprintln!("simulating the 26-benchmark suite under both LSQs...");
-        let runs = paired::run_with(&rc, None, all_benchmarks().iter().map(Workload::from));
-        for (id, table) in paired_tables {
-            if wants(id) {
-                show(&table(&runs));
-            }
-        }
-    }
-    if wants("tab456") {
-        show(&tab456::regen_table45());
-        show(&tab456::table6());
-    }
+    std::process::exit(code);
 }

@@ -17,13 +17,13 @@
 //!
 //! ## Record & replay
 //!
-//! [`SimSession::record`] tees the trace the session consumed to a
-//! `.strc` file: after the designs run, the session regenerates exactly
-//! the op prefix the hungriest design pulled and writes it with
-//! [`trace_isa::TraceWriter`]. Replaying that file (as a
+//! [`record_trace`] writes the trace a session consumed to a `.strc`
+//! file: given the report's [`SessionReport::ops_consumed`], it
+//! regenerates exactly the op prefix the hungriest design pulled and
+//! writes it with [`trace_isa::TraceWriter`]. Replaying that file (as a
 //! [`Workload::Replay`], e.g. via [`Workload::replay_file`]) under the
 //! same run configuration reproduces bit-identical [`SimStats`] for every
-//! design that was part of the recording session.
+//! design that was part of the recorded session.
 //!
 //! ## Examples
 //!
@@ -57,7 +57,8 @@
 //! assert!(report.ipc_loss_vs_first(1).abs() < 1.0);
 //! ```
 
-use std::path::PathBuf;
+use std::io;
+use std::path::Path;
 use std::sync::Arc;
 
 use ooo_sim::{SimConfig, SimStats, Simulator};
@@ -187,12 +188,9 @@ pub struct SessionReport {
     pub seed: u64,
     /// Per-design runs, in the order the designs were added.
     pub runs: Vec<DesignRun>,
-    /// Largest trace prefix any design pulled (the length a recording of
-    /// this session captures).
+    /// Largest trace prefix any design pulled (the length
+    /// [`record_trace`] captures).
     pub ops_consumed: u64,
-    /// Where the consumed trace was recorded, if [`SimSession::record`]
-    /// was requested.
-    pub recorded: Option<PathBuf>,
     /// Architectural-oracle summary, if [`SimSession::arch_oracle`] was
     /// requested and the workload is a real `rv:*` program (`None` for
     /// synthetic workloads, which have no architectural state to check).
@@ -238,7 +236,6 @@ pub struct SimSession<'s> {
     progress_every: u64,
     observer: Option<Observer<'s>>,
     on_finish: Option<FinishHook<'s>>,
-    record: Option<PathBuf>,
     arch_oracle: bool,
 }
 
@@ -257,7 +254,6 @@ impl<'s> SimSession<'s> {
             progress_every: 0,
             observer: None,
             on_finish: None,
-            record: None,
             arch_oracle: false,
         }
     }
@@ -342,20 +338,6 @@ impl<'s> SimSession<'s> {
         self
     }
 
-    /// Record the trace this session consumes to `path` as `.strc`.
-    ///
-    /// After the designs run, the session regenerates the exact op prefix
-    /// the hungriest design pulled and tees it to disk — replaying the
-    /// file under the same run configuration reproduces bit-identical
-    /// [`SimStats`] for every design in this session. The write happens
-    /// at the end of [`run`](SimSession::run); failures panic (a
-    /// requested recording that silently vanished would defeat its
-    /// purpose as a repro artifact).
-    pub fn record(mut self, path: impl Into<PathBuf>) -> Self {
-        self.record = Some(path.into());
-        self
-    }
-
     /// Verify the workload against the [`rv_front::ArchOracle`] after the
     /// designs run (only meaningful for `rv:*` workloads; a no-op
     /// otherwise).
@@ -367,9 +349,9 @@ impl<'s> SimSession<'s> {
     /// [`Workload::build_trace`] and checks it op-for-op against the
     /// committed stream. This is a timing-independent correctness check:
     /// it can never be satisfied by a simulator bug, only by the trace
-    /// frontend genuinely reproducing the program. Mismatches panic (like
-    /// a failed recording, a failed oracle is a defect, not a result);
-    /// the success summary lands in [`SessionReport::arch_oracle`].
+    /// frontend genuinely reproducing the program. Mismatches panic (a
+    /// failed oracle is a defect, not a result); the success summary
+    /// lands in [`SessionReport::arch_oracle`].
     pub fn arch_oracle(mut self) -> Self {
         self.arch_oracle = true;
         self
@@ -392,20 +374,6 @@ impl<'s> SimSession<'s> {
             ops_consumed = ops_consumed.max(ops);
             runs.push(DesignRun { id, stats });
         }
-        if let Some(path) = &self.record {
-            // Tee the consumed prefix to disk: trace sources are
-            // deterministic per (workload, seed), so regenerating the
-            // stream reproduces exactly what the designs saw.
-            let mut src = self.workload.build_trace(self.seed);
-            let mut w = TraceWriter::create(path, self.workload.name())
-                .unwrap_or_else(|e| panic!("cannot record to {}: {e}", path.display()));
-            for _ in 0..ops_consumed {
-                w.write_op(&src.next_op())
-                    .unwrap_or_else(|e| panic!("cannot record to {}: {e}", path.display()));
-            }
-            w.finish()
-                .unwrap_or_else(|e| panic!("cannot record to {}: {e}", path.display()));
-        }
         let arch_oracle = if self.arch_oracle {
             self.verify_arch_oracle(ops_consumed)
         } else {
@@ -416,7 +384,6 @@ impl<'s> SimSession<'s> {
             seed: self.seed,
             runs,
             ops_consumed,
-            recorded: self.record,
             arch_oracle,
         }
     }
@@ -485,6 +452,21 @@ impl<'s> SimSession<'s> {
         }
         (stats, sim.trace_ops_pulled())
     }
+}
+
+/// Write the first `ops` ops of `workload`'s trace under `seed` to
+/// `path` as `.strc`, creating its directory. Called with a session's
+/// workload, seed and [`SessionReport::ops_consumed`], it records
+/// exactly the trace that session consumed: trace sources are
+/// deterministic per (workload, seed), so regenerating the stream
+/// reproduces what the designs saw.
+pub fn record_trace(workload: &Workload, seed: u64, ops: u64, path: &Path) -> io::Result<()> {
+    let mut src = workload.build_trace(seed);
+    let mut w = TraceWriter::create(path, workload.name())?;
+    for _ in 0..ops {
+        w.write_op(&src.next_op())?;
+    }
+    w.finish().map(drop)
 }
 
 #[cfg(test)]

@@ -25,8 +25,7 @@
 //! grids + seeds produce byte-identical JSON (the regression-tracking
 //! invariant CI relies on).
 
-use std::fmt::{self, Write as _};
-use std::str::FromStr;
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -275,52 +274,6 @@ impl SweepPoint {
     }
 }
 
-/// Which slice of a sweep grid one worker process owns: shard `i` of
-/// `n`, written `i/n` with `1 <= i <= n`. A point at position `p` in the
-/// grid's deterministic [`SweepGrid::expand`] order belongs to shard `i`
-/// iff `p % n == i - 1`, so shards are disjoint, cover the grid exactly
-/// and stay balanced across designs and workloads.
-///
-/// Sharded workers share one experiment store; a final unsharded
-/// [`run_sweep`] over the same store serves every point a worker
-/// finished and reports rows byte-identical to a serial sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// 1-based worker index.
-    pub index: usize,
-    /// Total number of shards.
-    pub count: usize,
-}
-
-impl ShardSpec {
-    /// Whether this shard owns the grid point at expansion position
-    /// `point_index` (0-based).
-    pub fn owns(&self, point_index: usize) -> bool {
-        point_index % self.count == self.index - 1
-    }
-}
-
-impl fmt::Display for ShardSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.index, self.count)
-    }
-}
-
-impl FromStr for ShardSpec {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        let err = || format!("bad shard `{s}`: expected i/n with 1 <= i <= n, e.g. 2/3");
-        let (i, n) = s.split_once('/').ok_or_else(err)?;
-        let index: usize = i.trim().parse().map_err(|_| err())?;
-        let count: usize = n.trim().parse().map_err(|_| err())?;
-        if index == 0 || count == 0 || index > count {
-            return Err(err());
-        }
-        Ok(ShardSpec { index, count })
-    }
-}
-
 /// How [`run_sweep`] executes a grid.
 #[derive(Clone, Copy, Default)]
 pub struct SweepOptions<'a> {
@@ -329,8 +282,6 @@ pub struct SweepOptions<'a> {
     /// Experiment-store cache to consult and fill (`None` = simulate
     /// every point).
     pub cache: Option<&'a PointCache>,
-    /// Run only the points this shard owns (`None` = the whole grid).
-    pub shard: Option<ShardSpec>,
 }
 
 /// Execute a grid. Points are distributed through the work-stealing
@@ -344,17 +295,8 @@ pub struct SweepOptions<'a> {
 /// integer counters; only the wall-clock columns differ (a hit reports
 /// the *original* compute time, which is what the warm-speedup figure
 /// sums).
-///
-/// With a shard, the report covers only the owned points, in grid
-/// order.
 pub fn run_sweep(grid: &SweepGrid, opts: &SweepOptions<'_>) -> SweepReport {
-    let points: Vec<_> = grid
-        .expand()
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| opts.shard.is_none_or(|s| s.owns(*i)))
-        .map(|(_, p)| p)
-        .collect();
+    let points = grid.expand();
     let t0 = Instant::now();
     let results = parallel_map_with(opts.jobs, &points, |(design, bench, seed)| {
         let rc = RunConfig {
@@ -486,8 +428,7 @@ impl SweepReport {
     /// [`table`](Self::table) with the two wall-clock columns
     /// (`wall_ms`, `sim_mips`) zeroed — the CSV determinism contract:
     /// equal grids + seeds produce byte-identical output regardless of
-    /// host, worker count, or how many processes the grid was sharded
-    /// across.
+    /// host, worker count, or whether the points came from the store.
     pub fn table_deterministic(&self) -> Table {
         let mut t = self.table();
         for row in &mut t.rows {
@@ -563,8 +504,8 @@ impl SweepReport {
     /// Write `<dir>/BENCH_sweep.json` (and the CSV next to it), plus the
     /// deterministic companions `BENCH_sweep.det.json` /
     /// `BENCH_sweep.det.csv` with every timing field zeroed — those two
-    /// are byte-comparable across runs, hosts and sharding layouts
-    /// (`diff` them to prove a sharded sweep equals a serial one).
+    /// are byte-comparable across runs, hosts and worker counts (`diff`
+    /// them to prove a cached sweep equals a cold one).
     /// Returns the JSON path.
     pub fn write(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
         std::fs::create_dir_all(dir)?;
@@ -879,7 +820,6 @@ mod tests {
             &SweepOptions {
                 jobs: 1,
                 cache: Some(&cache),
-                shard: None,
             },
         );
         let warm = run_sweep(
@@ -887,7 +827,6 @@ mod tests {
             &SweepOptions {
                 jobs: 2,
                 cache: Some(&cache),
-                shard: None,
             },
         );
         assert_eq!((cold.hits, cold.misses), (0, 6));
@@ -1016,41 +955,5 @@ mod tests {
             check_regression(&report, "{}", 2.0).is_err(),
             "missing field"
         );
-    }
-
-    #[test]
-    fn shard_spec_parses_and_displays() {
-        let s: ShardSpec = "2/3".parse().unwrap();
-        assert_eq!((s.index, s.count), (2, 3));
-        assert_eq!(s.to_string(), "2/3");
-        let one: ShardSpec = "1/1".parse().unwrap();
-        assert!(one.owns(0) && one.owns(17));
-        for bad in ["", "3", "0/3", "4/3", "a/b", "1/0", "-1/2"] {
-            let err = bad.parse::<ShardSpec>().unwrap_err();
-            assert!(err.contains("expected i/n"), "{bad}: {err}");
-        }
-    }
-
-    #[test]
-    fn shards_partition_the_grid_exactly_and_evenly() {
-        let n = 5;
-        let points = 123;
-        let shards: Vec<ShardSpec> = (1..=n).map(|index| ShardSpec { index, count: n }).collect();
-        let mut owners = vec![0usize; points];
-        let mut sizes = vec![0usize; n];
-        for (si, s) in shards.iter().enumerate() {
-            for (p, owner) in owners.iter_mut().enumerate() {
-                if s.owns(p) {
-                    *owner += 1;
-                    sizes[si] += 1;
-                }
-            }
-        }
-        assert!(
-            owners.iter().all(|&o| o == 1),
-            "every point owned exactly once"
-        );
-        let (min, max) = (*sizes.iter().min().unwrap(), *sizes.iter().max().unwrap());
-        assert!(max - min <= 1, "round-robin balance: {sizes:?}");
     }
 }

@@ -217,117 +217,3 @@ mod tests {
         assert_eq!(pct(-0.02), "-2.00%");
     }
 }
-
-/// Render a numeric column of the table as a horizontal ASCII bar chart —
-/// the terminal rendition of the paper's figures.
-///
-/// `label_col` supplies the row labels and `value_col` the bar lengths;
-/// non-numeric cells (e.g. blank summary cells) are skipped. Negative
-/// values grow leftwards from the axis, mirroring the paper's Figure 5
-/// whose IPC-loss bars go both ways.
-pub fn bar_chart(t: &Table, label_col: usize, value_col: usize, width: usize) -> String {
-    use std::fmt::Write as _;
-    let rows: Vec<(&str, f64)> = t
-        .rows
-        .iter()
-        .filter_map(|r| {
-            let v: f64 = r.get(value_col)?.parse().ok()?;
-            Some((r[label_col].as_str(), v))
-        })
-        .collect();
-    let mut out = String::new();
-    let _ = writeln!(out, "== {} [{}] ==", t.title, t.headers[value_col]);
-    if rows.is_empty() {
-        return out;
-    }
-    let max_abs = rows
-        .iter()
-        .map(|(_, v)| v.abs())
-        .fold(0.0f64, f64::max)
-        .max(1e-12);
-    let has_neg = rows.iter().any(|(_, v)| *v < 0.0);
-    let label_w = rows.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
-    let neg_w = if has_neg { width / 4 } else { 0 };
-    let pos_w = width - neg_w;
-    for (label, v) in rows {
-        let frac = v.abs() / max_abs;
-        if v >= 0.0 {
-            let n = (frac * pos_w as f64).round() as usize;
-            let _ = writeln!(
-                out,
-                "{label:>label_w$} {pad}|{bar} {v:.2}",
-                pad = " ".repeat(neg_w),
-                bar = "#".repeat(n),
-            );
-        } else {
-            let n = ((frac * neg_w as f64).round() as usize).min(neg_w);
-            let _ = writeln!(
-                out,
-                "{label:>label_w$} {pad}{bar}| {v:.2}",
-                pad = " ".repeat(neg_w - n),
-                bar = "#".repeat(n),
-            );
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod chart_tests {
-    use super::*;
-
-    fn chart_table() -> Table {
-        let mut t = Table::new("Figure X", &["bench", "loss_%"]);
-        t.push_row(vec!["ammp".into(), "5.0".into()]);
-        t.push_row(vec!["fma3d".into(), "-6.0".into()]);
-        t.push_row(vec!["gzip".into(), "0.0".into()]);
-        t.push_row(vec!["SPEC".into(), String::new()]); // skipped
-        t
-    }
-
-    #[test]
-    fn bars_scale_to_the_maximum() {
-        let c = bar_chart(&chart_table(), 0, 1, 40);
-        assert!(c.contains("ammp"));
-        // fma3d has the largest |value| -> longest bar among the rows.
-        let bar_len = |name: &str| {
-            c.lines()
-                .find(|l| l.contains(name))
-                .map(|l| l.matches('#').count())
-                .unwrap()
-        };
-        // fma3d has the largest |value|: it fills its (narrower) negative
-        // axis completely (width/4 = 10 columns).
-        assert_eq!(bar_len("fma3d"), 10);
-        assert!(bar_len("ammp") > bar_len("fma3d"), "positive axis is wider");
-        assert_eq!(bar_len("gzip"), 0);
-    }
-
-    #[test]
-    fn negative_values_sit_left_of_the_axis() {
-        let c = bar_chart(&chart_table(), 0, 1, 40);
-        let fma = c.lines().find(|l| l.contains("fma3d")).unwrap();
-        assert!(
-            fma.contains("#|"),
-            "negative bar must end at the axis: {fma}"
-        );
-        let ammp = c.lines().find(|l| l.contains("ammp")).unwrap();
-        assert!(
-            ammp.contains("|#"),
-            "positive bar must start at the axis: {ammp}"
-        );
-    }
-
-    #[test]
-    fn blank_cells_are_skipped() {
-        let c = bar_chart(&chart_table(), 0, 1, 40);
-        assert!(!c.contains("SPEC"));
-    }
-
-    #[test]
-    fn empty_table_renders_header_only() {
-        let t = Table::new("empty", &["a", "b"]);
-        let c = bar_chart(&t, 0, 1, 30);
-        assert_eq!(c.lines().count(), 1);
-    }
-}

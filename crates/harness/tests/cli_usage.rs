@@ -1,18 +1,25 @@
 //! Malformed command lines are usage errors: `samie-exp` prints one
 //! diagnostic line naming the offending flag and exits 2 (the code
-//! `docs/REPRODUCING.md` documents), never a panic backtrace.
+//! `docs/REPRODUCING.md` documents), never a panic backtrace. An output
+//! path that cannot be written is a runtime error: one line naming it,
+//! and exit 1.
 
-use std::process::Command;
+use std::path::Path;
+use std::process::{Command, Output};
 
 const EXE: &str = env!("CARGO_BIN_EXE_samie-exp");
+
+fn samie_exp(args: &[&str]) -> Output {
+    Command::new(EXE)
+        .args(args)
+        .output()
+        .expect("spawn samie-exp")
+}
 
 /// Run `samie-exp` with `args`; assert exit 2 and exactly one stderr
 /// line that mentions `flag`, and return that line.
 fn assert_usage_error(args: &[&str], flag: &str) -> String {
-    let out = Command::new(EXE)
-        .args(args)
-        .output()
-        .expect("spawn samie-exp");
+    let out = samie_exp(args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
         out.status.code(),
@@ -39,8 +46,9 @@ fn non_numeric_value_is_a_usage_error() {
 }
 
 #[test]
-fn out_of_range_shard_is_a_usage_error() {
-    assert_usage_error(&["sweep", "--shard", "3/2"], "--shard");
+fn a_missing_or_unknown_command_is_a_usage_error() {
+    assert_usage_error(&[], "usage: samie-exp <");
+    assert_usage_error(&["fig5"], "unknown command `fig5`");
 }
 
 #[test]
@@ -68,6 +76,7 @@ fn bad_design_or_workload_is_a_usage_error_not_a_panic() {
 fn bad_grid_values_name_their_flag() {
     assert_usage_error(&["sweep", "--seeds", "1,x"], "--seeds");
     assert_usage_error(&["sweep", "--instrs", "0"], "--instrs");
+    assert_usage_error(&["report", "--instrs", "0"], "--instrs");
     assert_usage_error(&["sweep", "--bench", "gziip"], "--bench");
     assert_usage_error(&["sweep", "--designs", "conv:0"], "--designs");
     assert_usage_error(&["sweep", "--designs", ","], "--designs");
@@ -87,4 +96,47 @@ fn bad_cfg_overrides_are_usage_errors() {
         let line = assert_usage_error(&["sweep", "--cfg", bad], "--cfg");
         assert!(line.contains(why), "`--cfg {bad}` must say `{why}`: {line}");
     }
+}
+
+/// An `--out` directory below a regular file, which no command can
+/// create.
+fn unwritable_out(name: &str) -> String {
+    let file = std::env::temp_dir().join(format!("samie-cli-usage-{name}-{}", std::process::id()));
+    std::fs::write(&file, "a regular file").unwrap();
+    file.join("out").display().to_string()
+}
+
+/// Run `command` on a one-point grid with `--out out_dir`; assert exit
+/// 1, no panic, and a last stderr line naming `out_dir`. Returns the
+/// number of stderr lines.
+fn assert_write_failure(command: &str, out_dir: &str) -> usize {
+    let one_point = ["--designs", "conv:32", "--bench", "gzip"];
+    let short = ["--instrs", "2000", "--warmup", "500", "--no-cache"];
+    let out = samie_exp(&[&[command][..], &one_point, &short, &["--out", out_dir]].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{command}: stderr:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "{command}: stderr:\n{stderr}");
+    let last = stderr.lines().last().unwrap_or_default();
+    assert!(
+        last.contains(out_dir),
+        "{command}: the line must name {out_dir}: {last}"
+    );
+    stderr.lines().count()
+}
+
+#[test]
+fn record_into_an_unwritable_out_fails_with_one_line() {
+    let out_dir = unwritable_out("record");
+    assert_eq!(assert_write_failure("record", &out_dir), 1);
+    std::fs::remove_file(Path::new(&out_dir).parent().unwrap()).unwrap();
+}
+
+#[test]
+fn sweep_and_bench_into_an_unwritable_out_fail() {
+    let out_dir = unwritable_out("sweep");
+    for mode in ["sweep", "bench"] {
+        // The grid's progress line, then the one failure line.
+        assert_eq!(assert_write_failure(mode, &out_dir), 2);
+    }
+    std::fs::remove_file(Path::new(&out_dir).parent().unwrap()).unwrap();
 }

@@ -1,12 +1,14 @@
-//! The sharded-sweep contract, tested end to end with real worker
-//! **processes** (`CARGO_BIN_EXE_samie-exp`):
+//! The store's cross-process contract, tested end to end with real
+//! `samie-exp sweep` **processes** (`CARGO_BIN_EXE_samie-exp`) sharing
+//! one store:
 //!
-//! * shards partition a grid and merge byte-identically with a serial
-//!   sweep;
 //! * overlapping writers — worker processes plus in-process threads
 //!   hammering the same keys of one store — leave zero corrupt entries;
 //! * a SIGKILLed worker loses nothing: the store stays clean and a
 //!   resumed sweep completes the exact grid bit-identically.
+//!
+//! That a sweep served from the store equals a cold one byte for byte
+//! is `sweep::tests::cached_sweep_matches_cold_sweep_byte_for_byte`.
 //!
 //! Spawned workers run the *debug* binary, so grids here are tiny.
 
@@ -16,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use exp_harness::runner::RunConfig;
 use exp_harness::sweep::SweepGrid;
-use exp_harness::{designs_from_specs, run_sweep, DesignSpec, PointCache, ShardSpec, SweepOptions};
+use exp_harness::{designs_from_specs, run_sweep, DesignSpec, PointCache, SweepOptions};
 use ooo_sim::SimConfig;
 
 const EXE: &str = env!("CARGO_BIN_EXE_samie-exp");
@@ -86,60 +88,6 @@ fn assert_no_corruption(cache: &PointCache, grid: &SweepGrid) -> usize {
 }
 
 #[test]
-fn shards_merge_byte_identically_with_a_serial_sweep() {
-    let store = scratch("in-process");
-    let cache = PointCache::open(&store).unwrap();
-    let grid = small_grid(13);
-    let serial = run_sweep(
-        &grid,
-        &SweepOptions {
-            jobs: 1,
-            ..Default::default()
-        },
-    );
-
-    // Three shards over four points: every shard report covers only the
-    // points it owns, and together they cover the grid exactly.
-    let mut owned = 0;
-    for index in 1..=3 {
-        let shard = ShardSpec { index, count: 3 };
-        let part = run_sweep(
-            &grid,
-            &SweepOptions {
-                jobs: 2,
-                cache: Some(&cache),
-                shard: Some(shard),
-            },
-        );
-        let expected: Vec<usize> = (0..4).filter(|&p| shard.owns(p)).collect();
-        assert_eq!(part.points.len(), expected.len(), "shard {shard}");
-        owned += part.points.len();
-    }
-    assert_eq!(owned, 4, "shards partition the grid exactly");
-
-    // Reconcile: the full grid against the store is all hits, and its
-    // deterministic JSON and CSV are byte-identical to the serial run's.
-    let merged = run_sweep(
-        &grid,
-        &SweepOptions {
-            jobs: 0,
-            cache: Some(&cache),
-            shard: None,
-        },
-    );
-    assert_eq!((merged.hits, merged.misses), (4, 0));
-    assert_eq!(
-        merged.to_json_deterministic(),
-        serial.to_json_deterministic()
-    );
-    assert_eq!(
-        merged.table_deterministic().to_csv(),
-        serial.table_deterministic().to_csv()
-    );
-    std::fs::remove_dir_all(&store).unwrap();
-}
-
-#[test]
 fn overlapping_processes_and_threads_leave_zero_corrupt_entries() {
     let store = scratch("stress");
     let out = scratch("stress-out");
@@ -163,7 +111,6 @@ fn overlapping_processes_and_threads_leave_zero_corrupt_entries() {
         &SweepOptions {
             jobs: 4,
             cache: Some(&cache),
-            shard: None,
         },
     );
     for child in &mut children {
@@ -194,7 +141,6 @@ fn overlapping_processes_and_threads_leave_zero_corrupt_entries() {
         &SweepOptions {
             jobs: 1,
             cache: Some(&cache),
-            shard: None,
         },
     );
     assert_eq!((warm.hits, warm.misses), (4, 0));
@@ -261,7 +207,6 @@ fn sigkilled_worker_loses_nothing_and_a_resumed_sweep_completes_the_grid() {
         &SweepOptions {
             jobs: 0,
             cache: Some(&cache),
-            shard: None,
         },
     );
     assert_eq!(resumed.hits + resumed.misses, 6);

@@ -33,8 +33,8 @@
 //!   per fingerprint path (first publish wins, losers verify-and-discard),
 //!   and [`ExperimentStore::gc`] never reclaims a temp file younger than
 //!   [`GC_TEMP_GRACE`] — any number of sweep workers (threads *or*
-//!   processes) can share one store directory. This is what sharded
-//!   sweeps (`samie-exp sweep --shard i/n`) build on.
+//!   processes) can share one store directory, and processes sharing a
+//!   store never see a torn entry.
 //! * **Loud corruption** — entries carry a content checksum and a full
 //!   copy of their canonical key; truncation, bit rot and hash collisions
 //!   all surface as [`StoreError::Corrupt`], never as silently wrong

@@ -88,9 +88,9 @@ pub struct GcReport {
 /// ([`entries`](Self::entries), [`len`](Self::len)) reads them.
 ///
 /// Sweep workers cache their points as soon as they finish — which is
-/// what makes an interrupted sweep resumable and a multi-process sharded
-/// sweep mergeable. See the [crate docs](crate) for the layout and a
-/// usage example.
+/// what makes an interrupted sweep resumable and lets processes sharing
+/// a store serve each other's points. See the [crate docs](crate) for
+/// the layout and a usage example.
 #[derive(Debug)]
 pub struct ExperimentStore {
     root: PathBuf,
@@ -357,9 +357,9 @@ impl ExperimentStore {
     /// one non-deterministic byte of an entry) omitted. Two stores hold
     /// equivalent results — no matter which processes filled them, in
     /// what order, or how often writers raced — exactly when their dumps
-    /// are byte-identical; a sharded store can be diffed against a serial
-    /// sweep's this way. A corrupt entry fails the dump rather than
-    /// vanishing from it.
+    /// are byte-identical; a store filled by processes sharing it can be
+    /// diffed against a serial sweep's this way. A corrupt entry fails
+    /// the dump rather than vanishing from it.
     pub fn dump_deterministic(&self) -> Result<String, StoreError> {
         let mut out = String::new();
         for mut e in self.entries()? {

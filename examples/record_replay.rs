@@ -10,7 +10,7 @@
 //! workload to see the attack generators; any SPEC name works too.
 
 use exp_harness::runner::RunConfig;
-use exp_harness::session::SimSession;
+use exp_harness::session::{record_trace, SimSession};
 use samie_lsq::DesignSpec;
 use spec_traces::{find_workload, workload_names, Workload};
 use trace_isa::strc::RecordedTrace;
@@ -41,8 +41,8 @@ fn main() {
     let live = SimSession::new(DesignSpec::conventional_paper(), &workload)
         .design(DesignSpec::samie_paper())
         .run_config(rc)
-        .record(&path)
         .run();
+    record_trace(&workload, rc.seed, live.ops_consumed, &path).expect("trace records");
     for run in &live.runs {
         println!("  {:<28} ipc {:.4}", run.id, run.stats.ipc());
     }

@@ -46,7 +46,6 @@ fn interrupted_sweep_resumes_from_partial_store() {
         &SweepOptions {
             jobs: 1,
             cache: Some(&cache),
-            shard: None,
         },
     );
     assert_eq!(partial.misses, 3);
@@ -57,7 +56,6 @@ fn interrupted_sweep_resumes_from_partial_store() {
         &SweepOptions {
             jobs: 1,
             cache: Some(&cache),
-            shard: None,
         },
     );
     assert_eq!((resumed.hits, resumed.misses), (3, 6));
@@ -82,7 +80,6 @@ fn interrupted_sweep_resumes_from_partial_store() {
         &SweepOptions {
             jobs: 1,
             cache: Some(&cache),
-            shard: None,
         },
     );
     assert_eq!((warm.hits, warm.misses), (9, 0));
@@ -101,7 +98,6 @@ fn corrupt_entry_is_rejected_loudly_and_recomputed() {
         &SweepOptions {
             jobs: 1,
             cache: Some(&cache),
-            shard: None,
         },
     );
 
@@ -138,7 +134,6 @@ fn corrupt_entry_is_rejected_loudly_and_recomputed() {
         &SweepOptions {
             jobs: 1,
             cache: Some(&cache),
-            shard: None,
         },
     );
     assert_eq!((healed.hits, healed.misses), (2, 1));
@@ -157,7 +152,6 @@ fn gc_then_resweep_recomputes_everything() {
         &SweepOptions {
             jobs: 1,
             cache: Some(&cache),
-            shard: None,
         },
     );
     assert_eq!(cache.store().len().unwrap(), 3);
@@ -173,7 +167,6 @@ fn gc_then_resweep_recomputes_everything() {
         &SweepOptions {
             jobs: 1,
             cache: Some(&cache),
-            shard: None,
         },
     );
     assert_eq!((re.hits, re.misses), (0, 3));

@@ -4,7 +4,7 @@
 //! that was part of the recording session.
 
 use exp_harness::runner::RunConfig;
-use exp_harness::session::SimSession;
+use exp_harness::session::{record_trace, SimSession};
 use exp_harness::sweep::{designs_from_specs, run_sweep, SweepGrid, SweepOptions};
 use samie_lsq::DesignSpec;
 use spec_traces::{find_workload, Workload};
@@ -47,8 +47,9 @@ fn temp_path(file: &str) -> std::path::PathBuf {
 #[test]
 fn recorded_session_replays_bit_identically_for_every_design() {
     let path = temp_path("gzip.strc");
-    let live = session(find_workload("gzip").unwrap()).record(&path).run();
-    assert_eq!(live.recorded.as_deref(), Some(path.as_path()));
+    let w = find_workload("gzip").unwrap();
+    let live = session(&w).run();
+    record_trace(&w, RC.seed, live.ops_consumed, &path).unwrap();
     assert!(live.ops_consumed > RC.instrs, "recording captured the run");
 
     // The file round-trips through the decoder...
@@ -69,9 +70,9 @@ fn recorded_session_replays_bit_identically_for_every_design() {
 #[test]
 fn recorded_adversarial_workload_replays_bit_identically() {
     let path = temp_path("alias-storm.strc");
-    let live = session(find_workload("alias-storm").unwrap())
-        .record(&path)
-        .run();
+    let w = find_workload("alias-storm").unwrap();
+    let live = session(&w).run();
+    record_trace(&w, RC.seed, live.ops_consumed, &path).unwrap();
     let replay = session(Workload::replay_file(&path).unwrap()).run();
     for (a, b) in live.runs.iter().zip(&replay.runs) {
         assert_eq!(a.stats, b.stats, "{} diverged under replay", a.id);
@@ -85,8 +86,8 @@ fn recording_regenerates_exactly_the_consumed_stream() {
     let w = find_workload("swim").unwrap();
     let report = SimSession::new(DesignSpec::samie_paper(), &w)
         .run_config(RC)
-        .record(&path)
         .run();
+    record_trace(&w, RC.seed, report.ops_consumed, &path).unwrap();
     let rec = RecordedTrace::load(&path).unwrap();
     // The recorded prefix is the generator's own stream, op for op.
     let mut fresh = w.build_trace(RC.seed);
@@ -100,14 +101,13 @@ fn recording_regenerates_exactly_the_consumed_stream() {
 #[test]
 fn recorded_rv_program_replays_bit_identically() {
     // Real-program traces go through the same capture/replay contract as
-    // the synthetic generators: the tee regenerates the emulator's
+    // the synthetic generators: the recording regenerates the emulator's
     // retired-op stream, and replaying the file reproduces every
     // design's stats bit for bit (the oracle hook rides the live side).
     let path = temp_path("rv-sieve.strc");
-    let live = session(find_workload("rv:sieve").unwrap())
-        .arch_oracle()
-        .record(&path)
-        .run();
+    let w = find_workload("rv:sieve").unwrap();
+    let live = session(&w).arch_oracle().run();
+    record_trace(&w, RC.seed, live.ops_consumed, &path).unwrap();
     assert!(
         live.arch_oracle
             .as_deref()
@@ -154,7 +154,9 @@ fn rv_cache_id_tracks_program_bytes_not_names() {
 #[test]
 fn replay_traces_sweep_like_benchmarks() {
     let path = temp_path("sweepable.strc");
-    session(find_workload("gcc").unwrap()).record(&path).run();
+    let w = find_workload("gcc").unwrap();
+    let recorded = session(&w).run();
+    record_trace(&w, RC.seed, recorded.ops_consumed, &path).unwrap();
 
     // `@file.strc` resolves through the sweep grid's workload parser.
     let grid = SweepGrid::paper(
