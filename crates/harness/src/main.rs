@@ -81,7 +81,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use exp_harness::fuzz::{run_fuzz, FuzzConfig};
@@ -116,9 +116,30 @@ fn write_stdout(text: std::fmt::Arguments) {
         Err(e) if e.kind() == ErrorKind::BrokenPipe => CLOSED.store(true, Ordering::Relaxed),
         Err(e) => {
             eprintln!("samie-exp: cannot write to stdout: {e}");
-            std::process::exit(1);
+            std::process::exit(Exit::Failure as i32);
         }
     }
+}
+
+/// The process exit status, so CI jobs and scripts can branch on what
+/// went wrong. Every command returns one; the table in
+/// `docs/REPRODUCING.md` documents each code (a unit test below keeps
+/// the two in step).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(i32)]
+enum Exit {
+    /// Success, including `--help`.
+    Ok,
+    /// Runtime failure: I/O, a missing store or a corrupt entry.
+    Failure,
+    /// Usage error: a malformed command line or incompatible flags.
+    Usage,
+    /// `bench` throughput regressed more than `--max-regression`.
+    Regression,
+    /// `fuzz` found a design diverging from the oracle.
+    Mismatch,
+    /// `report --expect-warm` saw fewer warm cache hits than promised.
+    NotWarm,
 }
 
 /// What the first positional argument asks for. An unknown command
@@ -353,7 +374,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(Command, Args),
     while let Some(a) = it.next() {
         if a == "--help" || a == "-h" {
             eprintln!("{}", usage());
-            std::process::exit(0);
+            std::process::exit(Exit::Ok as i32);
         }
         if let Some((_, _, set)) = FLAGS.iter().find(|(name, _, _)| *name == a) {
             // A value is the next word, unless the command line ends or
@@ -382,7 +403,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(Command, Args),
 }
 
 /// `fuzz` entry point; returns the process exit code (4 on mismatch).
-fn run_fuzz_command(args: &Args) -> i32 {
+fn run_fuzz_command(args: &Args) -> Exit {
     let cfg = FuzzConfig {
         iters: args.iters,
         seed: args.seed,
@@ -403,7 +424,7 @@ fn run_fuzz_command(args: &Args) -> i32 {
             "fuzz: {} iterations, zero design-vs-oracle mismatches",
             report.iters
         );
-        return 0;
+        return Exit::Ok;
     }
     outln!(
         "fuzz: {} MISMATCHES in {} iterations",
@@ -428,7 +449,7 @@ fn run_fuzz_command(args: &Args) -> i32 {
             outln!("    replay: samie-exp sweep --bench @{}", p.display());
         }
     }
-    4
+    Exit::Mismatch
 }
 
 impl Args {
@@ -445,7 +466,7 @@ impl Args {
     /// The run length of `sweep`, `bench` and `report`: [`Self::rc`]
     /// over the standard default, or the usage-error exit code when no
     /// instruction would be measured.
-    fn measured_rc(&self) -> Result<RunConfig, i32> {
+    fn measured_rc(&self) -> Result<RunConfig, Exit> {
         let rc = self.rc(RunConfig::default());
         if rc.instrs == 0 {
             return Err(usage_error("--instrs", "must be positive"));
@@ -472,13 +493,13 @@ impl Args {
 
 /// A bad flag value caught after parsing: one `samie-exp: FLAG: ...`
 /// line on stderr and the usage-error exit code 2.
-fn usage_error(flag: &str, e: impl std::fmt::Display) -> i32 {
+fn usage_error(flag: &str, e: impl std::fmt::Display) -> Exit {
     eprintln!("samie-exp: {flag}: {e}");
-    2
+    Exit::Usage
 }
 
 /// A `--designs` list as design handles, or the usage-error exit code.
-fn parse_designs(list: &str) -> Result<Vec<DesignHandle>, i32> {
+fn parse_designs(list: &str) -> Result<Vec<DesignHandle>, Exit> {
     match DesignSpec::parse_list(list) {
         Ok(d) if d.is_empty() => Err(usage_error("--designs", "needs at least one design")),
         Ok(d) => Ok(designs_from_specs(d)),
@@ -487,7 +508,7 @@ fn parse_designs(list: &str) -> Result<Vec<DesignHandle>, i32> {
 }
 
 /// `--designs` (default: all six families) for the one-off commands.
-fn designs_arg(args: &Args) -> Result<Vec<DesignHandle>, i32> {
+fn designs_arg(args: &Args) -> Result<Vec<DesignHandle>, Exit> {
     parse_designs(
         args.designs
             .as_deref()
@@ -495,8 +516,17 @@ fn designs_arg(args: &Args) -> Result<Vec<DesignHandle>, i32> {
     )
 }
 
+/// Create the `--out` directory before any point is simulated, so an
+/// unwritable path fails at once, in one line naming it.
+fn create_out(dir: &Path) -> Result<(), Exit> {
+    std::fs::create_dir_all(dir).map_err(|e| {
+        eprintln!("cannot create output directory {}: {e}", dir.display());
+        Exit::Failure
+    })
+}
+
 /// `record` entry point: capture the trace a session consumes.
-fn run_record_command(args: &Args) -> i32 {
+fn run_record_command(args: &Args) -> Exit {
     let bench = args.benchmarks.as_deref().unwrap_or("gzip");
     let workload = match find_workload(bench) {
         Ok(w) => w,
@@ -507,9 +537,11 @@ fn run_record_command(args: &Args) -> i32 {
         Err(code) => return code,
     };
     let rc = args.one_off_rc();
-    let path = args
-        .out("results")
-        .join(format!("{}-s{}.strc", workload.name(), rc.seed));
+    let out = args.out("results");
+    if let Err(code) = create_out(&out) {
+        return code;
+    }
+    let path = out.join(format!("{}-s{}.strc", workload.name(), rc.seed));
     let session = SimSession::new(&designs[0], &workload).run_config(rc);
     let report = designs[1..].iter().fold(session, |s, d| s.design(d)).run();
     for run in &report.runs {
@@ -517,7 +549,7 @@ fn run_record_command(args: &Args) -> i32 {
     }
     if let Err(e) = record_trace(&workload, rc.seed, report.ops_consumed, &path) {
         eprintln!("cannot record to {}: {e}", path.display());
-        return 1;
+        return Exit::Failure;
     }
     outln!(
         "recorded {} ops of `{}` -> {}",
@@ -526,7 +558,7 @@ fn run_record_command(args: &Args) -> i32 {
         path.display()
     );
     outln!("replay:  samie-exp sweep --bench @{}", path.display());
-    0
+    Exit::Ok
 }
 
 /// How a cache-consulting command sees the experiment store: open, off
@@ -579,7 +611,7 @@ fn open_cache(args: &Args, disabled: bool) -> CacheState {
 /// `--designs`, `--bench`, `--seeds`, `--cfg` and the run length
 /// replacing its axis. A bad value is the usage-error exit code, after
 /// one line naming its flag.
-fn build_grid(args: &Args, is_bench: bool) -> Result<SweepGrid, i32> {
+fn build_grid(args: &Args, is_bench: bool) -> Result<SweepGrid, Exit> {
     let rc = args.measured_rc()?;
     let mut grid = if is_bench {
         SweepGrid::bench_default(rc)
@@ -610,7 +642,7 @@ fn build_grid(args: &Args, is_bench: bool) -> Result<SweepGrid, i32> {
 }
 
 /// `sweep` / `bench` entry point; returns the process exit code.
-fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
+fn run_sweep_command(args: &Args, is_bench: bool) -> Exit {
     let mode = if is_bench { "bench" } else { "sweep" };
     let grid = match build_grid(args, is_bench) {
         Ok(g) => g,
@@ -635,6 +667,10 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
         grid.rc.warmup,
         grid.rc.instrs,
     );
+    let out = args.out("results");
+    if let Err(code) = create_out(&out) {
+        return code;
+    }
     let mut report = run_sweep(
         &grid,
         &SweepOptions {
@@ -662,12 +698,11 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
         report.wall.as_secs_f64(),
         report.total_sim_ips() / 1e6,
     );
-    let out = args.out("results");
     match report.write(&out) {
         Ok(p) => eprintln!("  -> {}", p.display()),
         Err(e) => {
             eprintln!("cannot write the {mode} report to {}: {e}", out.display());
-            return 1;
+            return Exit::Failure;
         }
     }
     if let Some(path) = &args.baseline {
@@ -675,7 +710,7 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
             Ok(b) => b,
             Err(e) => {
                 eprintln!("cannot read baseline {}: {e}", path.display());
-                return 1;
+                return Exit::Failure;
             }
         };
         match check_regression(&report, &baseline, args.max_regression) {
@@ -685,27 +720,30 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
                     "THROUGHPUT REGRESSION (> {:.1}x): {msg}",
                     args.max_regression
                 );
-                return 3;
+                return Exit::Regression;
             }
         }
     }
-    0
+    Exit::Ok
 }
 
 /// `report` entry point: regenerate the reproduction book.
-fn run_report_command(args: &Args) -> i32 {
+fn run_report_command(args: &Args) -> Exit {
     let out = args.out("docs/book");
     let rc = match args.measured_rc() {
         Ok(rc) => rc,
         Err(code) => return code,
     };
+    if let Err(code) = create_out(&out) {
+        return code;
+    }
     let cache = open_cache(args, args.no_cache);
     if let Some(reason) = cache.failure() {
         if args.expect_warm.is_some() {
             // A warm-gate run that cannot even open the store can only
             // fail the gate after simulating everything — refuse early.
             eprintln!("--expect-warm needs the store: {reason}");
-            return 5;
+            return Exit::NotWarm;
         }
     }
     let mut opts = ReportOptions::new(rc, &out);
@@ -722,7 +760,7 @@ fn run_report_command(args: &Args) -> i32 {
         Ok(b) => b,
         Err(e) => {
             eprintln!("report failed: {e}");
-            return 1;
+            return Exit::Failure;
         }
     };
     outln!(
@@ -750,24 +788,24 @@ fn run_report_command(args: &Args) -> i32 {
         if let Some(want) = args.expect_warm {
             if c.misses() > 0 {
                 eprintln!("EXPECTED WARM RUN: {} points missed the cache", c.misses());
-                return 5;
+                return Exit::NotWarm;
             }
             if speedup < want {
                 eprintln!("EXPECTED WARM SPEEDUP >= {want:.0}x, measured ~{speedup:.0}x");
-                return 5;
+                return Exit::NotWarm;
             }
             outln!("warm gate OK: all hits, speedup ~{speedup:.0}x >= {want:.0}x");
         }
     } else if args.expect_warm.is_some() {
         eprintln!("--expect-warm requires the cache (drop --no-cache)");
-        return 5;
+        return Exit::NotWarm;
     }
-    0
+    Exit::Ok
 }
 
 /// `store` entry point: inspect or garbage-collect an existing
 /// experiment store (never creates one).
-fn run_store_command(args: &Args) -> i32 {
+fn run_store_command(args: &Args) -> Exit {
     if args.dump && args.gc {
         return usage_error("--gc", "cannot be combined with --dump");
     }
@@ -775,7 +813,7 @@ fn run_store_command(args: &Args) -> i32 {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot open experiment store {}: {e}", args.store.display());
-            return 1;
+            return Exit::Failure;
         }
     };
     if args.dump {
@@ -785,7 +823,7 @@ fn run_store_command(args: &Args) -> i32 {
         return match store.dump_deterministic() {
             Ok(text) => {
                 write_stdout(format_args!("{text}"));
-                0
+                Exit::Ok
             }
             Err(e) => store_walk_failed(e),
         };
@@ -800,11 +838,11 @@ fn run_store_command(args: &Args) -> i32 {
                     r.removed_corrupt,
                     r.bytes_freed
                 );
-                return 0;
+                return Exit::Ok;
             }
             Err(e) => {
                 eprintln!("gc failed: {e}");
-                return 1;
+                return Exit::Failure;
             }
         }
     }
@@ -841,30 +879,30 @@ fn run_store_command(args: &Args) -> i32 {
         };
         outln!("version {v}: {n} points{stale}");
     }
-    0
+    Exit::Ok
 }
 
 /// The one line `store` prints when its walk over the entries fails:
 /// a corrupt entry names its file and the command that removes it.
-fn store_walk_failed(e: StoreError) -> i32 {
+fn store_walk_failed(e: StoreError) -> Exit {
     match e {
         StoreError::Corrupt { .. } => eprintln!("{e}; `samie-exp store --gc` removes it"),
         StoreError::Io(_) => eprintln!("cannot read store: {e}"),
     }
-    1
+    Exit::Failure
 }
 
 /// `rv` entry point: the real-ISA frontend — assemble a program for
 /// inspection, or run one through the designs under the architectural
 /// oracle. Returns the process exit code (2 on usage or assembly error).
-fn run_rv_command(args: &Args) -> i32 {
+fn run_rv_command(args: &Args) -> Exit {
     const USAGE: &str =
         "usage: samie-exp rv asm FILE.s | samie-exp rv run <FILE.s|rv:NAME> [--designs LIST] [common flags]";
     let (verb, target) = match args.positionals.as_slice() {
         [v, t] => (v.as_str(), t.as_str()),
         _ => {
             eprintln!("{USAGE}");
-            return 2;
+            return Exit::Usage;
         }
     };
     match verb {
@@ -872,25 +910,25 @@ fn run_rv_command(args: &Args) -> i32 {
         "run" => run_rv_run(args, target),
         other => {
             eprintln!("unknown rv subcommand `{other}`; {USAGE}");
-            2
+            Exit::Usage
         }
     }
 }
 
 /// `rv asm`: assemble and print the listing + symbol table.
-fn run_rv_asm(path: &str) -> i32 {
+fn run_rv_asm(path: &str) -> Exit {
     let source = match std::fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot read {path}: {e}");
-            return 2;
+            return Exit::Usage;
         }
     };
     let image = match rv_front::assemble(path, &source) {
         Ok(i) => i,
         Err(e) => {
             eprintln!("{e}");
-            return 2;
+            return Exit::Usage;
         }
     };
     for (i, &word) in image.text.iter().enumerate() {
@@ -913,18 +951,18 @@ fn run_rv_asm(path: &str) -> i32 {
         image.data.len(),
         image.labels.len()
     );
-    0
+    Exit::Ok
 }
 
 /// `rv run`: emulate a real program and compare every design on its
 /// retired-op trace, oracle-checked.
-fn run_rv_run(args: &Args, target: &str) -> i32 {
+fn run_rv_run(args: &Args, target: &str) -> Exit {
     let workload = if target.ends_with(".s") {
         let source = match std::fs::read_to_string(target) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("cannot read {target}: {e}");
-                return 2;
+                return Exit::Usage;
             }
         };
         let stem = std::path::Path::new(target)
@@ -935,7 +973,7 @@ fn run_rv_run(args: &Args, target: &str) -> i32 {
             Ok(w) => w,
             Err(e) => {
                 eprintln!("{e}");
-                return 2;
+                return Exit::Usage;
             }
         }
     } else {
@@ -946,11 +984,11 @@ fn run_rv_run(args: &Args, target: &str) -> i32 {
                     "`{}` is not a real program; `rv run` takes a .s file or an rv:* entry (e.g. rv:quicksort)",
                     w.name()
                 );
-                return 2;
+                return Exit::Usage;
             }
             Err(e) => {
                 eprintln!("{e}");
-                return 2;
+                return Exit::Usage;
             }
         }
     };
@@ -988,7 +1026,7 @@ fn run_rv_run(args: &Args, target: &str) -> i32 {
     if let Some(summary) = &report.arch_oracle {
         outln!("{summary}");
     }
-    0
+    Exit::Ok
 }
 
 fn main() {
@@ -996,7 +1034,7 @@ fn main() {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("samie-exp: {e}");
-            std::process::exit(2);
+            std::process::exit(Exit::Usage as i32);
         }
     };
     let code = match command {
@@ -1005,7 +1043,7 @@ fn main() {
             for (kind, help) in DesignSpec::KINDS {
                 outln!("  {kind:<14} {help}");
             }
-            0
+            Exit::Ok
         }
         Command::Sweep => run_sweep_command(&args, false),
         Command::Bench => run_sweep_command(&args, true),
@@ -1015,5 +1053,52 @@ fn main() {
         Command::Store => run_store_command(&args),
         Command::Rv => run_rv_command(&args),
     };
-    std::process::exit(code);
+    std::process::exit(code as i32);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Exit;
+
+    /// Every exit code, in order.
+    const ALL: [Exit; 6] = [
+        Exit::Ok,
+        Exit::Failure,
+        Exit::Usage,
+        Exit::Regression,
+        Exit::Mismatch,
+        Exit::NotWarm,
+    ];
+
+    #[test]
+    fn exit_codes_match_the_reproducing_table() {
+        // A new variant stops this match compiling until it is listed
+        // in `ALL` (and so checked against the docs) too.
+        for e in ALL {
+            match e {
+                Exit::Ok
+                | Exit::Failure
+                | Exit::Usage
+                | Exit::Regression
+                | Exit::Mismatch
+                | Exit::NotWarm => {}
+            }
+        }
+        let doc = include_str!("../../../docs/REPRODUCING.md");
+        let section = doc
+            .split("### Exit codes")
+            .nth(1)
+            .expect("docs/REPRODUCING.md has an `### Exit codes` section");
+        // The `| n | meaning |` rows, up to the next heading.
+        let documented: Vec<i32> = section
+            .lines()
+            .take_while(|l| !l.starts_with('#'))
+            .filter_map(|l| l.strip_prefix('|')?.split('|').next()?.trim().parse().ok())
+            .collect();
+        let codes: Vec<i32> = ALL.iter().map(|&e| e as i32).collect();
+        assert_eq!(
+            codes, documented,
+            "main.rs's Exit codes must equal the rows of docs/REPRODUCING.md's exit-code table"
+        );
+    }
 }

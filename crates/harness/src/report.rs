@@ -101,10 +101,16 @@ struct Page {
 }
 
 /// Regenerate the whole reproduction book. See the [module docs](self).
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the book's wall time is host time by design: it is the denominator of the warm speedup"
+)]
 pub fn generate_book(opts: &ReportOptions<'_>) -> io::Result<BookSummary> {
     assert!(!opts.suite.is_empty(), "report needs a non-empty suite");
     let t0 = Instant::now();
     let rc = &opts.rc;
+    // Fail on an unwritable `out` before simulating anything.
+    std::fs::create_dir_all(&opts.out)?;
 
     // All simulation, through the (possibly cached) point path. The
     // paired grid covers the suite and the real programs in one sweep.
@@ -268,7 +274,6 @@ pub fn generate_book(opts: &ReportOptions<'_>) -> io::Result<BookSummary> {
         },
     ];
 
-    std::fs::create_dir_all(&opts.out)?;
     let mut written = Vec::new();
     written.push(write_file(
         &opts.out,

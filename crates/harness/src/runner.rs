@@ -177,8 +177,7 @@ impl PointCache {
             Err(e) => eprintln!("warning: store read failed ({e}); recomputing the point"),
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let t0 = Instant::now();
-        let (stats, mut extras) = compute();
+        let ((stats, mut extras), wall_nanos) = timed(compute);
         for (name, v) in stale_extras {
             if !extras.iter().any(|(n, _)| *n == name) {
                 extras.push((name, v));
@@ -186,7 +185,7 @@ impl PointCache {
         }
         let point = StoredPoint {
             stats,
-            wall_nanos: t0.elapsed().as_nanos() as u64,
+            wall_nanos,
             extras,
         };
         let stored = if replace {
@@ -222,6 +221,17 @@ impl PointCache {
     }
 }
 
+/// Run `f` and return its result with the host nanoseconds it took.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a point's compute time is host wall time by design: it is what a warm run saves"
+)]
+fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let t0 = Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_nanos() as u64)
+}
+
 /// Simulate one `(design, workload, run-config, core-config)` point —
 /// through `cache` when given — and return it with whether it was a
 /// cache hit.
@@ -253,11 +263,10 @@ pub fn run_point(
     };
     match cache {
         None => {
-            let t0 = Instant::now();
-            let (stats, extras) = compute();
+            let ((stats, extras), wall_nanos) = timed(compute);
             let point = StoredPoint {
                 stats,
-                wall_nanos: t0.elapsed().as_nanos() as u64,
+                wall_nanos,
                 extras,
             };
             (point, false)

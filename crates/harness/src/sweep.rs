@@ -295,6 +295,10 @@ pub struct SweepOptions<'a> {
 /// integer counters; only the wall-clock columns differ (a hit reports
 /// the *original* compute time, which is what the warm-speedup figure
 /// sums).
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a sweep's wall time is host time by design: it is the throughput the bench reports"
+)]
 pub fn run_sweep(grid: &SweepGrid, opts: &SweepOptions<'_>) -> SweepReport {
     let points = grid.expand();
     let t0 = Instant::now();

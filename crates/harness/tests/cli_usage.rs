@@ -140,3 +140,31 @@ fn sweep_and_bench_into_an_unwritable_out_fail() {
     }
     std::fs::remove_file(Path::new(&out_dir).parent().unwrap()).unwrap();
 }
+
+#[test]
+fn report_into_an_unwritable_out_fails_before_simulating() {
+    let out_dir = unwritable_out("report");
+    let store = std::env::temp_dir().join(format!(
+        "samie-cli-usage-report-store-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&store).unwrap();
+    let store_arg = store.display().to_string();
+    let out = samie_exp(&[
+        "report", "--instrs", "1000", "--warmup", "100", "--store", &store_arg, "--out", &out_dir,
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    let last = stderr.lines().last().unwrap_or_default();
+    assert!(
+        last.contains(&out_dir),
+        "the line must name {out_dir}: {last}"
+    );
+    let entries = std::fs::read_dir(&store).unwrap().count();
+    assert_eq!(
+        entries, 0,
+        "no point may be simulated before --out is checked"
+    );
+    std::fs::remove_dir_all(&store).unwrap();
+    std::fs::remove_file(Path::new(&out_dir).parent().unwrap()).unwrap();
+}

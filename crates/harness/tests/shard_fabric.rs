@@ -150,6 +150,10 @@ fn overlapping_processes_and_threads_leave_zero_corrupt_entries() {
 }
 
 #[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the poll for the worker's first entry needs a host-time deadline"
+)]
 fn sigkilled_worker_loses_nothing_and_a_resumed_sweep_completes_the_grid() {
     let store = scratch("chaos");
     let out = scratch("chaos-out");

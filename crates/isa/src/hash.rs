@@ -47,7 +47,10 @@ pub fn fingerprint128(bytes: &[u8]) -> u128 {
 }
 
 /// Hash map keyed by `u64` using [`FastU64Hasher`].
-// samie-allow(default-hasher): this alias is the sanctioned deterministic map — the hasher parameter below is FastU64Hasher, not RandomState
+#[allow(
+    clippy::disallowed_types,
+    reason = "the sanctioned deterministic map: its hasher is FastU64Hasher, not RandomState"
+)]
 pub type U64Map<V> = std::collections::HashMap<u64, V, BuildHasherDefault<FastU64Hasher>>;
 
 /// Fibonacci multiply, then fold the high bits (which carry the entropy

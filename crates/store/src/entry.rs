@@ -394,6 +394,45 @@ mod tests {
         assert_eq!(set.len(), names.len());
     }
 
+    /// The dotted path of every [`SimStats`] counter, in declaration
+    /// order, read off the derived `{:#?}` form: one `name: value,` or
+    /// `name: Struct {` per line, closed by `}`.
+    fn debug_leaf_paths() -> Vec<String> {
+        let debug = format!("{:#?}", SimStats::default());
+        let mut prefix: Vec<&str> = Vec::new();
+        let mut leaves = Vec::new();
+        for line in debug.lines().skip(1).map(str::trim) {
+            if line.starts_with('}') {
+                prefix.pop();
+            } else if let Some((name, value)) = line.split_once(": ") {
+                if value.ends_with('{') {
+                    prefix.push(name);
+                } else {
+                    leaves.push([&prefix[..], &[name]].concat().join("."));
+                }
+            }
+        }
+        leaves
+    }
+
+    #[test]
+    fn schema_names_are_the_simstats_fields() {
+        let mut names = Vec::new();
+        visit_stat_fields(&mut SimStats::default(), |n, _| names.push(n.to_string()));
+        let fields = debug_leaf_paths();
+        let unlisted: Vec<_> = fields.iter().filter(|f| !names.contains(f)).collect();
+        let unknown: Vec<_> = names.iter().filter(|n| !fields.contains(n)).collect();
+        assert!(
+            unlisted.is_empty() && unknown.is_empty(),
+            "SimStats counters without a `field!`: {unlisted:?}; \
+             `field!` names that are no SimStats counter: {unknown:?}"
+        );
+        assert_eq!(
+            names, fields,
+            "`field!` lists the counters in declaration order"
+        );
+    }
+
     #[test]
     fn encode_decode_round_trips_bit_identically() {
         let p = sample_point();

@@ -1,5 +1,17 @@
 //! [`ExperimentStore`] — the on-disk store proper: atomic puts, checked
 //! gets, one walk over the decoded entries and garbage collection.
+//!
+//! Entry files are untrusted input (truncated, bit-rotten, written by
+//! another version), so nothing outside the tests may panic on them.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::fmt;
 use std::fs;
@@ -301,10 +313,13 @@ impl ExperimentStore {
                 // A young temp may be a concurrent writer's in-flight
                 // entry (an unreadable mtime counts as young — when in
                 // doubt, never destroy another process's work).
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "the grace period is host file mtime age by design: it protects other processes' in-flight writes, not simulated time"
+                )]
                 let age = fs::metadata(&path)
                     .and_then(|m| m.modified())
                     .ok()
-                    // samie-allow(wall-clock): gc's temp-file grace period is host file mtime age by design — it protects other processes' in-flight writes, not simulated time
                     .and_then(|t| t.elapsed().ok());
                 if age.is_none_or(|a| a < temp_grace) {
                     report.kept_temps += 1;

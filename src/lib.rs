@@ -13,7 +13,6 @@
 //! * [`energy_model`] — CACTI-lite timing/energy/area model and accounting.
 //! * [`exp_store`] — content-addressed experiment store (incremental sweeps).
 //! * [`exp_harness`] — experiment harness regenerating every table/figure.
-//! * [`samie_analyzer`] — repo-specific static analysis (`samie-analyze`).
 
 pub use energy_model;
 pub use exp_harness;
@@ -21,7 +20,6 @@ pub use exp_store;
 pub use mem_hier;
 pub use ooo_sim;
 pub use rv_front;
-pub use samie_analyzer;
 pub use samie_lsq;
 pub use spec_traces;
 pub use trace_isa;
