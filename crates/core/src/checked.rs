@@ -1,14 +1,16 @@
 //! [`CheckedLsq`] — a transparent differential wrapper that cross-checks
 //! any design's forwarding answers against the executable oracle.
 //!
-//! [`OracleLsq`](crate::OracleLsq) runs the *specification* as a design;
-//! `CheckedLsq` instead shadows an arbitrary **implementation** while the
-//! real pipeline drives it: every `load_forward_status` answer is compared
-//! against [`oracle::forward_status`](crate::oracle::forward_status) over
-//! a mirror of the in-flight ops, modulo the one documented conservatism
+//! `CheckedLsq` shadows a design while the real pipeline drives it:
+//! every `load_forward_status` answer is compared against
+//! [`oracle::forward_status`](crate::oracle::forward_status) over a
+//! mirror of the in-flight ops, modulo the one documented conservatism
 //! (answering `Wait` while an older overlapping store is parked in a
-//! waiting buffer). Divergences are collected, not panicked on, so a
-//! fuzzer can harvest them and shrink the trace that provoked them.
+//! waiting buffer). [`checked`] wraps a design so that divergences are
+//! collected, not panicked on, so a fuzzer can harvest them and shrink
+//! the trace that provoked them. [`CheckedLsq::oracle`] is
+//! `DesignSpec::Oracle`: the same check over an unbounded conventional
+//! LSQ, panicking on the first divergence.
 //!
 //! The wrapper is timing- and energy-transparent: it always returns the
 //! inner design's own answer and delegates the activity ledger, so a
@@ -29,6 +31,7 @@
 
 use std::sync::Arc;
 
+use crate::conventional::ConventionalLsq;
 use crate::oracle::{forward_status, OracleOp};
 use crate::registry::{DesignHandle, LsqFactory};
 use crate::traits::{CachePlan, LoadStoreQueue};
@@ -47,6 +50,8 @@ const MAX_REPORTS: usize = 8;
 pub struct CheckedLsq {
     inner: Box<dyn LoadStoreQueue>,
     ops: Vec<OracleOp>,
+    /// Panic on the first divergence instead of collecting it.
+    strict: bool,
     mismatches: Vec<String>,
     /// Total divergences observed (may exceed `mismatches.len()`).
     mismatch_count: u64,
@@ -60,9 +65,19 @@ impl CheckedLsq {
         CheckedLsq {
             inner,
             ops: Vec::new(),
+            strict: false,
             mismatches: Vec::new(),
             mismatch_count: 0,
             queries: 0,
+        }
+    }
+
+    /// The oracle design (`DesignSpec::Oracle`): an unbounded, energy-free
+    /// conventional LSQ whose first divergence from the spec panics.
+    pub fn oracle() -> Self {
+        CheckedLsq {
+            strict: true,
+            ..CheckedLsq::new(Box::new(ConventionalLsq::ideal(usize::MAX >> 1, "oracle")))
         }
     }
 
@@ -149,6 +164,11 @@ impl LoadStoreQueue for CheckedLsq {
         let got = self.inner.load_forward_status(age);
         self.queries += 1;
         if got != spec && !(got == ForwardStatus::Wait && self.buffered_overlap(age)) {
+            assert!(
+                !self.strict,
+                "oracle divergence for load {age}: implementation answered {got:?}, \
+                 specification requires {spec:?}"
+            );
             self.mismatch_count += 1;
             if self.mismatches.len() < MAX_REPORTS {
                 self.mismatches.push(format!(
@@ -438,5 +458,40 @@ mod tests {
         assert_eq!(lsq.ops.len(), 3);
         lsq.flush_all();
         assert!(lsq.ops.is_empty());
+    }
+
+    #[test]
+    fn oracle_lsq_forwards_like_the_spec() {
+        let l = drive_ok(CheckedLsq::oracle());
+        assert_eq!(l.occupancy().conv_entries, 0);
+        assert_eq!(
+            l.activity().conv_addr.cmp_ops,
+            0,
+            "oracle records no energy"
+        );
+    }
+
+    #[test]
+    fn oracle_lsq_mirror_survives_squash_and_flush() {
+        let mut l = CheckedLsq::oracle();
+        for age in 1..=4 {
+            l.dispatch(MemOp::store(age, MemRef::new(age * 64, 8)));
+            l.address_ready(age);
+        }
+        l.squash_younger(2);
+        assert_eq!(l.ops.len(), 2);
+        l.flush_all();
+        assert!(l.ops.is_empty());
+        assert_eq!(l.occupancy().conv_entries, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "oracle divergence")]
+    fn strict_wrapper_panics_on_a_dropped_forward() {
+        let inner = Box::new(ForwardDroppingLsq::new(DesignSpec::Unbounded.build()));
+        drive_ok(CheckedLsq {
+            strict: true,
+            ..CheckedLsq::new(inner)
+        });
     }
 }

@@ -60,8 +60,8 @@ pub struct ConventionalLsq {
     /// Sequence number of `entries.front()`.
     base_seq: u64,
     activity: LsqActivity,
-    /// When false, no activity is recorded (used by [`crate::UnboundedLsq`],
-    /// which models an ideal structure whose energy is not under study).
+    /// When false, no activity is recorded (the unbounded and oracle
+    /// references, ideal structures whose energy is not under study).
     count_activity: bool,
     /// One-shot: the next `address_ready` skips its CAM-search accounting
     /// (set by [`crate::FilteredLsq`] when its Bloom filter proves the op
@@ -91,6 +91,13 @@ impl ConventionalLsq {
             skip_next_search: false,
             name: "conventional",
         }
+    }
+
+    /// The ideal unbounded LSQ — Figure 1's reference point: never runs
+    /// out of entries (the 256-entry ROB bounds real occupancy long
+    /// before) and records no energy activity.
+    pub fn unbounded() -> Self {
+        Self::ideal(usize::MAX >> 1, "unbounded")
     }
 
     pub(crate) fn ideal(capacity: usize, name: &'static str) -> Self {
@@ -533,5 +540,50 @@ mod tests {
         l.flush_all();
         assert_eq!(l.occupancy().conv_entries, 0);
         assert!(l.can_dispatch(false));
+    }
+
+    #[test]
+    fn never_stalls_dispatch() {
+        let mut l = ConventionalLsq::unbounded();
+        for age in 0..10_000u64 {
+            assert!(l.can_dispatch(age % 3 == 0));
+            l.dispatch(MemOp::load(age, MemRef::new(age * 8, 8)));
+        }
+        assert_eq!(l.occupancy().conv_entries, 10_000);
+    }
+
+    #[test]
+    fn records_no_cam_activity() {
+        let mut l = ConventionalLsq::unbounded();
+        l.dispatch(MemOp::store(1, MemRef::new(0, 8)));
+        l.dispatch(MemOp::load(2, MemRef::new(0, 8)));
+        l.address_ready(1);
+        l.address_ready(2);
+        l.store_executed(1);
+        assert_eq!(
+            l.load_forward_status(2),
+            ForwardStatus::Forward { store: 1 }
+        );
+        assert_eq!(l.activity().conv_addr.cmp_ops, 0);
+        assert_eq!(l.activity().conv_data_rw, 0);
+    }
+
+    #[test]
+    fn forwarding_matches_conventional_semantics() {
+        let mut l = ConventionalLsq::unbounded();
+        l.dispatch(MemOp::store(1, MemRef::new(64, 4)));
+        l.dispatch(MemOp::load(2, MemRef::new(66, 2)));
+        l.address_ready(1);
+        l.address_ready(2);
+        l.store_executed(1);
+        assert_eq!(
+            l.load_forward_status(2),
+            ForwardStatus::Forward { store: 1 }
+        );
+    }
+
+    #[test]
+    fn name_is_unbounded() {
+        assert_eq!(ConventionalLsq::unbounded().name(), "unbounded");
     }
 }

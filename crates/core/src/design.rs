@@ -41,12 +41,11 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::arb::{ArbConfig, ArbLsq};
+use crate::checked::CheckedLsq;
 use crate::conventional::ConventionalLsq;
 use crate::filtered::FilteredLsq;
-use crate::oracle::OracleLsq;
 use crate::samie::{SamieConfig, SamieLsq};
 use crate::traits::LoadStoreQueue;
-use crate::unbounded::UnboundedLsq;
 
 /// A fully-specified LSQ design — every geometry parameter pinned.
 ///
@@ -241,8 +240,8 @@ impl DesignSpec {
             } => Box::new(FilteredLsq::new(entries, buckets, hashes)),
             DesignSpec::Samie(cfg) => Box::new(SamieLsq::new(cfg)),
             DesignSpec::Arb(cfg) => Box::new(ArbLsq::new(cfg)),
-            DesignSpec::Unbounded => Box::new(UnboundedLsq::new()),
-            DesignSpec::Oracle => Box::new(OracleLsq::new()),
+            DesignSpec::Unbounded => Box::new(ConventionalLsq::unbounded()),
+            DesignSpec::Oracle => Box::new(CheckedLsq::oracle()),
         }
     }
 
@@ -338,9 +337,6 @@ impl FromStr for DesignSpec {
                         .parse()
                         .map_err(|_| DesignParseError::new(spec, "entries"))?,
                 };
-                if parts.next().is_some() {
-                    return err("trailing fields");
-                }
                 DesignSpec::Conventional { entries }
             }
             "filtered" | "filt" => {
@@ -356,9 +352,6 @@ impl FromStr for DesignSpec {
                     .next()
                     .map_or(Ok(2), str::parse)
                     .map_err(|_| DesignParseError::new(spec, "hashes"))?;
-                if parts.next().is_some() {
-                    return err("trailing fields");
-                }
                 DesignSpec::Filtered {
                     entries,
                     buckets,
@@ -374,7 +367,7 @@ impl FromStr for DesignSpec {
                     cfg.entries_per_bank = entries;
                     cfg.slots_per_entry = slots;
                 }
-                for extra in parts {
+                for extra in parts.by_ref() {
                     if let Some(sh) = extra.strip_prefix("sh") {
                         cfg.shared_entries = if sh == "inf" {
                             SamieConfig::UNBOUNDED_SHARED
@@ -407,28 +400,18 @@ impl FromStr for DesignSpec {
                         .parse()
                         .map_err(|_| DesignParseError::new(spec, "inflight"))?;
                 }
-                if parts.next().is_some() {
-                    return err("trailing fields");
-                }
                 DesignSpec::Arb(cfg)
             }
-            "unbounded" | "ideal" => {
-                if parts.next().is_some() {
-                    return err("trailing fields");
-                }
-                DesignSpec::Unbounded
-            }
-            "oracle" => {
-                if parts.next().is_some() {
-                    return err("trailing fields");
-                }
-                DesignSpec::Oracle
-            }
+            "unbounded" | "ideal" => DesignSpec::Unbounded,
+            "oracle" => DesignSpec::Oracle,
             _ => {
                 let kinds: Vec<&str> = Self::KINDS.iter().map(|(kind, _)| *kind).collect();
                 return err(&format!("unknown design kind (known: {})", kinds.join("/")));
             }
         };
+        if parts.next().is_some() {
+            return err("trailing fields");
+        }
         parsed
             .validate()
             .map_err(|e| DesignParseError::new(spec, e.reason))?;

@@ -113,16 +113,6 @@ impl FilteredLsq {
         }
     }
 
-    /// Searches skipped by the filter.
-    pub fn filtered_searches(&self) -> u64 {
-        self.filtered_searches
-    }
-
-    /// Searches that ran.
-    pub fn performed_searches(&self) -> u64 {
-        self.performed_searches
-    }
-
     /// Fraction of disambiguation searches the filter eliminated.
     pub fn filter_rate(&self) -> f64 {
         let total = self.filtered_searches + self.performed_searches;

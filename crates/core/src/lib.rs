@@ -11,10 +11,9 @@
 //!   L1D line location (presentBit) and the D-TLB translation inside LSQ
 //!   entries.
 //! * [`ConventionalLsq`] — the baseline: a 128-entry fully-associative,
-//!   age-ordered LSQ with global CAM disambiguation.
+//!   age-ordered LSQ with global CAM disambiguation; built
+//!   [`unbounded`](ConventionalLsq::unbounded), Figure 1's ideal reference.
 //! * [`ArbLsq`] — Franklin & Sohi's ARB, reproduced for Figure 1.
-//! * [`UnboundedLsq`] — an ideal LSQ of unlimited size (Figure 1's
-//!   reference).
 //! * [`FilteredLsq`] — the conventional LSQ behind counting Bloom filters
 //!   (Sethumadhavan et al., MICRO'03), the §2 search-filtering approach
 //!   the paper contrasts with.
@@ -27,7 +26,8 @@
 //! The crate also ships an executable specification of memory
 //! disambiguation ([`oracle`]) used by the property-test suites to check
 //! that every implementation forwards from exactly the youngest older
-//! overlapping store, and runnable as a design of its own ([`OracleLsq`]).
+//! overlapping store, and runnable as a design of its own
+//! ([`CheckedLsq::oracle`]).
 //!
 //! ## One front door
 //!
@@ -50,7 +50,6 @@ pub mod registry;
 pub mod samie;
 pub mod traits;
 pub mod types;
-pub mod unbounded;
 
 pub use activity::{CamActivity, LsqActivity, OccupancyIntegrals};
 pub use agering::AgeRing;
@@ -59,9 +58,7 @@ pub use checked::{checked, CheckedLsq};
 pub use conventional::ConventionalLsq;
 pub use design::{DesignParseError, DesignSpec};
 pub use filtered::{CountingBloom, FilteredLsq};
-pub use oracle::OracleLsq;
 pub use registry::{DesignHandle, LsqFactory};
 pub use samie::{SamieConfig, SamieLsq};
 pub use traits::{CachePlan, LoadStoreQueue};
 pub use types::{Age, ForwardStatus, LsqOccupancy, MemOp, PlaceOutcome};
-pub use unbounded::UnboundedLsq;

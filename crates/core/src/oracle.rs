@@ -7,7 +7,8 @@
 //! cache. The property-test suites run random op sequences through the
 //! real LSQs and through this oracle and require identical answers
 //! (modulo each design's documented extra conservatism, e.g. SAMIE's
-//! AddrBuffer ordering rule).
+//! AddrBuffer ordering rule). [`CheckedLsq::oracle`](crate::CheckedLsq::oracle)
+//! runs the same specification in-pipeline as `DesignSpec::Oracle`.
 
 use crate::types::{Age, ForwardStatus, MemOp};
 
@@ -58,147 +59,6 @@ pub fn forward_status(ops: &[OracleOp], load_age: Age) -> ForwardStatus {
             ForwardStatus::Forward { store: st.op.age }
         }
         Some(_) => ForwardStatus::Wait,
-    }
-}
-
-/// The oracle run as a pipeline-pluggable design (`DesignSpec::Oracle`).
-///
-/// An unbounded structure (so capacity never perturbs the answer under
-/// test) that mirrors every in-flight op and, for each forwarding query,
-/// cross-checks the production conventional-LSQ logic against
-/// [`forward_status`] — the executable specification driven by the *real*
-/// pipeline instead of synthetic property-test sequences. Any divergence
-/// panics with both answers. Like [`crate::UnboundedLsq`], it records no
-/// energy activity.
-#[derive(Debug, Clone)]
-pub struct OracleLsq {
-    inner: crate::conventional::ConventionalLsq,
-    ops: Vec<OracleOp>,
-}
-
-impl Default for OracleLsq {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl OracleLsq {
-    /// Build the oracle design.
-    pub fn new() -> Self {
-        OracleLsq {
-            inner: crate::conventional::ConventionalLsq::ideal(usize::MAX >> 1, "oracle"),
-            ops: Vec::new(),
-        }
-    }
-
-    fn mirror_mut(&mut self, age: Age) -> &mut OracleOp {
-        self.ops
-            .iter_mut()
-            .find(|o| o.op.age == age)
-            .expect("op not mirrored in oracle")
-    }
-}
-
-impl crate::traits::LoadStoreQueue for OracleLsq {
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn can_dispatch(&self, is_store: bool) -> bool {
-        self.inner.can_dispatch(is_store)
-    }
-
-    fn dispatch(&mut self, op: MemOp) {
-        self.ops.push(OracleOp {
-            op,
-            addr_known: false,
-            data_ready: false,
-        });
-        self.inner.dispatch(op);
-    }
-
-    fn address_ready(&mut self, age: Age) -> crate::types::PlaceOutcome {
-        self.mirror_mut(age).addr_known = true;
-        self.inner.address_ready(age)
-    }
-
-    fn store_executed(&mut self, age: Age) {
-        self.mirror_mut(age).data_ready = true;
-        self.inner.store_executed(age);
-    }
-
-    fn load_forward_status(&mut self, age: Age) -> ForwardStatus {
-        let spec = forward_status(&self.ops, age);
-        let got = self.inner.load_forward_status(age);
-        assert_eq!(
-            got, spec,
-            "oracle divergence for load {age}: implementation answered {got:?}, \
-             specification requires {spec:?}"
-        );
-        spec
-    }
-
-    fn take_forward(&mut self, load: Age, store: Age) {
-        self.inner.take_forward(load, store)
-    }
-
-    fn cache_access_plan(&mut self, age: Age) -> crate::traits::CachePlan {
-        self.inner.cache_access_plan(age)
-    }
-
-    fn note_cache_access(&mut self, age: Age, set: u32, way: u32) -> bool {
-        self.inner.note_cache_access(age, set, way)
-    }
-
-    fn load_data_arrived(&mut self, age: Age) {
-        self.inner.load_data_arrived(age)
-    }
-
-    fn on_line_replaced(&mut self, set: u32, way: u32) {
-        self.inner.on_line_replaced(set, way)
-    }
-
-    fn commit(&mut self, age: Age) {
-        self.ops.retain(|o| o.op.age != age);
-        self.inner.commit(age)
-    }
-
-    fn squash_younger(&mut self, age: Age) {
-        self.ops.retain(|o| o.op.age <= age);
-        self.inner.squash_younger(age)
-    }
-
-    fn flush_all(&mut self) {
-        self.ops.clear();
-        self.inner.flush_all()
-    }
-
-    fn is_buffered(&self, age: Age) -> bool {
-        self.inner.is_buffered(age)
-    }
-
-    fn tick(&mut self, promoted: &mut Vec<Age>) {
-        self.inner.tick(promoted)
-    }
-
-    fn tick_idle(&mut self, k: u64) {
-        self.inner.tick_idle(k)
-    }
-
-    fn activity(&self) -> &crate::activity::LsqActivity {
-        self.inner.activity()
-    }
-
-    fn reset_activity(&mut self) {
-        self.inner.reset_activity()
-    }
-
-    fn occupancy(&self) -> crate::types::LsqOccupancy {
-        self.inner.occupancy()
     }
 }
 
@@ -261,44 +121,5 @@ mod tests {
     fn younger_stores_ignored() {
         let ops = [ld(5, 0x100, 4), st(7, 0x100, 8, true)];
         assert_eq!(forward_status(&ops, 5), ForwardStatus::AccessCache);
-    }
-
-    #[test]
-    fn oracle_lsq_forwards_like_the_spec() {
-        use crate::traits::LoadStoreQueue;
-        let mut l = OracleLsq::new();
-        l.dispatch(MemOp::store(1, MemRef::new(0x100, 8)));
-        l.dispatch(MemOp::load(2, MemRef::new(0x104, 4)));
-        l.address_ready(1);
-        l.address_ready(2);
-        l.store_executed(1);
-        assert_eq!(
-            l.load_forward_status(2),
-            ForwardStatus::Forward { store: 1 }
-        );
-        l.take_forward(2, 1);
-        l.commit(1);
-        l.commit(2);
-        assert_eq!(l.occupancy().conv_entries, 0);
-        assert_eq!(
-            l.activity().conv_addr.cmp_ops,
-            0,
-            "oracle records no energy"
-        );
-    }
-
-    #[test]
-    fn oracle_lsq_mirror_survives_squash_and_flush() {
-        use crate::traits::LoadStoreQueue;
-        let mut l = OracleLsq::new();
-        for age in 1..=4 {
-            l.dispatch(MemOp::store(age, MemRef::new(age * 64, 8)));
-            l.address_ready(age);
-        }
-        l.squash_younger(2);
-        assert_eq!(l.ops.len(), 2);
-        l.flush_all();
-        assert!(l.ops.is_empty());
-        assert_eq!(l.occupancy().conv_entries, 0);
     }
 }

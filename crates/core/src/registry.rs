@@ -8,7 +8,7 @@
 //! sweep or session:
 //!
 //! ```
-//! use samie_lsq::{DesignHandle, DesignSpec, LsqFactory, UnboundedLsq};
+//! use samie_lsq::{ConventionalLsq, DesignHandle, DesignSpec, LsqFactory};
 //! use std::sync::Arc;
 //!
 //! struct MyFactory;
@@ -17,7 +17,7 @@
 //!         "mylsq".into()
 //!     }
 //!     fn build(&self) -> Box<dyn samie_lsq::LoadStoreQueue> {
-//!         Box::new(UnboundedLsq::new())
+//!         Box::new(ConventionalLsq::unbounded())
 //!     }
 //! }
 //!

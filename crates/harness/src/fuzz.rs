@@ -236,6 +236,8 @@ pub fn differential_check(
         }
         let report = session
             .on_finish(|id, lsq| {
+                // The oracle design is a `CheckedLsq` too, but it panics
+                // on its first divergence, so its count is always 0.
                 if let Some(c) = lsq.as_any().downcast_ref::<CheckedLsq>() {
                     checked_verdicts.push((
                         id.to_string(),

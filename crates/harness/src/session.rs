@@ -422,7 +422,7 @@ impl<'s> SimSession<'s> {
         if self.progress_every == 0 || self.observer.is_none() {
             sim.run(self.instrs);
         } else {
-            // Chunked run with absolute targets: the same step()
+            // Chunked run with absolute targets: the same cycle
             // sequence as one run(instrs) call, so results stay
             // bit-identical under any progress interval.
             let mut committed = 0;

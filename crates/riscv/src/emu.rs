@@ -195,11 +195,6 @@ impl Emulator {
         self.regs[r as usize]
     }
 
-    /// Read `len` bytes of memory (for tests inspecting data structures).
-    pub fn read_mem(&self, addr: u32, len: usize) -> Option<&[u8]> {
-        self.mem.get(addr as usize..addr as usize + len)
-    }
-
     fn dep_of(&self, r: u8) -> u32 {
         if r == 0 {
             return 0;

@@ -521,11 +521,6 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
         &self.lsq
     }
 
-    /// Mutable access to the LSQ (experiment-specific statistics).
-    pub fn lsq_mut(&mut self) -> &mut L {
-        &mut self.lsq
-    }
-
     /// The data-memory hierarchy.
     pub fn mem(&self) -> &DataMemory {
         &self.mem
@@ -538,13 +533,9 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
         self.skip_enabled = enabled;
     }
 
-    /// Is event-driven cycle skipping enabled?
-    pub fn cycle_skipping(&self) -> bool {
-        self.skip_enabled
-    }
-
-    /// Cycles jumped over by event-driven skipping so far (a subset of
-    /// `stats.cycles`, which counts them as simulated).
+    /// Cycles of the measured interval jumped over by event-driven
+    /// skipping (a subset of `stats.cycles`, which counts them as
+    /// simulated; [`warm_up`](Self::warm_up) resets both).
     pub fn skipped_cycles(&self) -> u64 {
         self.skipped_cycles
     }
@@ -601,12 +592,8 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
         self.mem.reset_stats();
         self.icache.reset_stats();
         self.lsq.reset_activity();
+        self.skipped_cycles = 0;
         self.last_commit_cycle = self.now;
-    }
-
-    /// Advance one cycle.
-    pub fn step(&mut self) {
-        self.step_with(&mut NoProbe);
     }
 
     /// Advance one cycle, reporting per-stage work to `probe`. Returns
@@ -681,9 +668,14 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
         if let Some(cycle) = self.completions.earliest(now) {
             wake = wake.min(cycle);
         }
-        // ...fetch resuming after a redirect/I-miss penalty (irrelevant
-        // while fetch waits on a branch: resolution is a completion)...
-        if self.fetch_blocked_on.is_none() {
+        // ...fetch resuming after a redirect/I-miss penalty, counted only
+        // while it lies ahead and fetch does not wait on a branch (whose
+        // resolution is a completion). A past resume cycle wakes nothing:
+        // a zero-event cycle in which fetch was blocked neither by a
+        // redirect nor by its timer means the fetch window was full, and
+        // only dispatch frees it. The completion and FU timers that drive
+        // dispatch stay in the minimum, as does the watchdog cap...
+        if self.fetch_blocked_on.is_none() && self.fetch_resume_at >= now {
             wake = wake.min(self.fetch_resume_at);
         }
         // ...or a busy functional unit freeing up.

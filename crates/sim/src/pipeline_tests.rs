@@ -2,7 +2,7 @@
 
 use crate::config::SimConfig;
 use crate::pipeline::Simulator;
-use samie_lsq::{ConventionalLsq, LoadStoreQueue, SamieConfig, SamieLsq, UnboundedLsq};
+use samie_lsq::{ConventionalLsq, LoadStoreQueue, SamieConfig, SamieLsq};
 use trace_isa::{MicroOp, VecTrace};
 
 fn alu_trace() -> VecTrace {
@@ -11,7 +11,7 @@ fn alu_trace() -> VecTrace {
 
 #[test]
 fn independent_alus_reach_high_ipc() {
-    let mut sim = Simulator::paper(UnboundedLsq::new(), alu_trace());
+    let mut sim = Simulator::paper(ConventionalLsq::unbounded(), alu_trace());
     let stats = sim.run(50_000);
     // 8-wide machine, 6 int ALUs, no dependencies: ALU-bound at ~6 IPC.
     assert!(stats.ipc() > 5.0, "ipc = {}", stats.ipc());
@@ -21,7 +21,7 @@ fn independent_alus_reach_high_ipc() {
 #[test]
 fn serial_dependency_chain_limits_ipc_to_one() {
     let trace = VecTrace::named(vec![MicroOp::alu(0x1000, [1, 0])], "chain");
-    let mut sim = Simulator::paper(UnboundedLsq::new(), trace);
+    let mut sim = Simulator::paper(ConventionalLsq::unbounded(), trace);
     let stats = sim.run(10_000);
     assert!(stats.ipc() < 1.05, "ipc = {}", stats.ipc());
     assert!(stats.ipc() > 0.8, "ipc = {}", stats.ipc());
@@ -33,7 +33,7 @@ fn nonpipelined_divides_throttle_throughput() {
         vec![MicroOp::compute(0x1000, trace_isa::OpClass::IntDiv, [0, 0])],
         "div",
     );
-    let mut sim = Simulator::paper(UnboundedLsq::new(), trace);
+    let mut sim = Simulator::paper(ConventionalLsq::unbounded(), trace);
     let stats = sim.run(2_000);
     // 3 dividers, 20-cycle non-pipelined: at most 3/20 = 0.15 IPC.
     assert!(stats.ipc() < 0.16, "ipc = {}", stats.ipc());
@@ -45,7 +45,7 @@ fn loads_hit_the_cache_and_commit() {
     let ops: Vec<MicroOp> = (0..128)
         .map(|i| MicroOp::load(0x1000 + i * 4, 0x8000 + i * 8, 8, [0, 0]))
         .collect();
-    let mut sim = Simulator::paper(UnboundedLsq::new(), VecTrace::named(ops, "loads"));
+    let mut sim = Simulator::paper(ConventionalLsq::unbounded(), VecTrace::named(ops, "loads"));
     let stats = sim.run(20_000);
     assert_eq!(stats.loads + stats.stores + stats.branches, stats.loads);
     assert!(stats.l1d.accesses() > 0);
@@ -85,7 +85,7 @@ fn well_predicted_loop_fetches_smoothly() {
         .map(|i| MicroOp::alu(0x1000 + i * 4, [0, 0]))
         .collect();
     ops.push(MicroOp::branch(0x1000 + 8 * 4, true, 0x1000, [0, 0]));
-    let mut sim = Simulator::paper(UnboundedLsq::new(), VecTrace::named(ops, "loop"));
+    let mut sim = Simulator::paper(ConventionalLsq::unbounded(), VecTrace::named(ops, "loop"));
     let stats = sim.run(20_000);
     assert!(
         stats.mispredict_ratio() < 0.01,
@@ -116,14 +116,17 @@ fn random_branches_cost_ipc() {
             ops.push(MicroOp::alu(0x1000 + i * 4, [0, 0]));
         }
     }
-    let mut sim = Simulator::paper(UnboundedLsq::new(), VecTrace::named(ops, "rand-br"));
+    let mut sim = Simulator::paper(
+        ConventionalLsq::unbounded(),
+        VecTrace::named(ops, "rand-br"),
+    );
     let stats = sim.run(40_000);
     assert!(
         stats.mispredict_ratio() > 0.25,
         "ratio {}",
         stats.mispredict_ratio()
     );
-    let mut smooth = Simulator::paper(UnboundedLsq::new(), alu_trace());
+    let mut smooth = Simulator::paper(ConventionalLsq::unbounded(), alu_trace());
     let smooth_stats = smooth.run(40_000);
     assert!(
         stats.ipc() < smooth_stats.ipc() * 0.7,
@@ -269,7 +272,7 @@ fn samie_matches_conventional_ipc_on_friendly_code() {
 
 #[test]
 fn warm_up_resets_statistics() {
-    let mut sim = Simulator::paper(UnboundedLsq::new(), alu_trace());
+    let mut sim = Simulator::paper(ConventionalLsq::unbounded(), alu_trace());
     sim.warm_up(5_000);
     let s = sim.stats();
     assert_eq!(s.committed, 0);

@@ -12,7 +12,7 @@ use exp_harness::runner::RunConfig;
 use exp_harness::session::SimSession;
 use exp_harness::sweep::{designs_from_specs, run_sweep, SweepGrid, SweepOptions};
 use ooo_sim::{SimConfig, SimStats, Simulator};
-use samie_lsq::{ConventionalLsq, DesignSpec, FilteredLsq, LoadStoreQueue, SamieLsq, UnboundedLsq};
+use samie_lsq::{ConventionalLsq, DesignSpec, FilteredLsq, LoadStoreQueue, SamieLsq};
 use spec_traces::{by_name, SpecTrace, Workload};
 
 const RC: RunConfig = RunConfig {
@@ -66,7 +66,7 @@ fn run_one_is_bit_identical_per_design_family() {
             .run()
             .stats()
             .clone(),
-        manual("gzip", UnboundedLsq::new()),
+        manual("gzip", ConventionalLsq::unbounded()),
         "unbounded"
     );
 }
