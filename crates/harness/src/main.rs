@@ -130,7 +130,8 @@ fn write_stdout(text: std::fmt::Arguments) {
 enum Exit {
     /// Success, including `--help`.
     Ok,
-    /// Runtime failure: I/O, a missing store or a corrupt entry.
+    /// Runtime failure: I/O, a missing store, a corrupt entry or a real
+    /// program failing the book's architectural oracle.
     Failure,
     /// Usage error: a malformed command line or incompatible flags.
     Usage,

@@ -10,11 +10,14 @@
 //! The Figure 1 points run as one [`run_sweep`](crate::sweep::run_sweep)
 //! grid, the paired and real-program points as a second, and the sizing
 //! study through the same [`run_point`](crate::runner::run_point) path —
-//! all under [`ReportOptions::cache`]. Hand it an experiment store and a
-//! re-run after a code-free change is almost pure cache hits, making the
-//! whole reproduction one cheap idempotent command. The store keys are
-//! those of `samie-exp sweep`, so a sweep over the paper pair warms the
-//! book too.
+//! all under [`ReportOptions::cache`]. The real-program chapter's own
+//! work (assembling and emulating the committed programs, then the
+//! architectural oracle's re-executions) simulates nothing, so it runs
+//! on a thread of its own beside the sweeps. Hand it an experiment store
+//! and a re-run after a code-free change is almost pure cache hits,
+//! making the whole reproduction one cheap idempotent command. The store
+//! keys are those of `samie-exp sweep`, so a sweep over the paper pair
+//! warms the book too.
 //!
 //! Output is byte-deterministic: page content derives only from simulated
 //! statistics (themselves deterministic per seed) and contains no
@@ -41,16 +44,20 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use energy_model::price_lsq;
 use exp_store::SIM_VERSION;
+use rv_front::{ArchOracle, RvWorkload};
 use samie_lsq::DesignSpec;
-use spec_traces::{all_benchmarks, find_workload, Workload, WorkloadSpec, RV_PROGRAM_NAMES};
+use spec_traces::{
+    all_benchmarks, find_workload, rv_pack, Workload, WorkloadSpec, RV_PROGRAM_NAMES,
+};
 
 use crate::chart::svg_bar_chart;
 use crate::experiments::{fig1, fig3_4, paired, tab1_delay, tab456};
-use crate::runner::{PairedRun, PointCache, RunConfig};
+use crate::runner::{parallel_map_with, PairedRun, PointCache, RunConfig};
 use crate::table::{fmt, Table};
 
 /// What to reproduce, where to, and through which experiment store.
@@ -101,6 +108,10 @@ struct Page {
 }
 
 /// Regenerate the whole reproduction book. See the [module docs](self).
+///
+/// Fails on an I/O error writing the book, or when a committed real
+/// program's re-execution diverges from its record (the error names the
+/// program).
 #[allow(
     clippy::disallowed_methods,
     reason = "the book's wall time is host time by design: it is the denominator of the warm speedup"
@@ -114,20 +125,30 @@ pub fn generate_book(opts: &ReportOptions<'_>) -> io::Result<BookSummary> {
 
     // All simulation, through the (possibly cached) point path. The
     // paired grid covers the suite and the real programs in one sweep.
-    let fig1_points = fig1::run_with(rc, opts.cache, &opts.suite);
-    let sizing_runs = fig3_4::run_with(rc, opts.cache, &opts.suite);
-    let programs: Vec<Workload> = RV_PROGRAM_NAMES
-        .iter()
-        .map(|name| find_workload(name).expect("committed program in the catalog"))
-        .collect();
-    let pairs = paired::run_with(
-        rc,
-        opts.cache,
-        opts.suite
+    // The real programs' assembly, emulation and oracle re-executions
+    // run beside the sweeps (the paired grid waits for the first two).
+    let (fig1_points, sizing_runs, programs, pairs, oracle_table) = std::thread::scope(|scope| {
+        let oracle = scope.spawn(|| realprog_oracle_table(rv_pack()));
+        let fig1_points = fig1::run_with(rc, opts.cache, &opts.suite);
+        let sizing_runs = fig3_4::run_with(rc, opts.cache, &opts.suite);
+        let programs: Vec<Workload> = RV_PROGRAM_NAMES
             .iter()
-            .map(|s| Workload::from(*s))
-            .chain(programs.iter().cloned()),
-    );
+            .map(|name| find_workload(name).expect("committed program in the catalog"))
+            .collect();
+        let pairs = paired::run_with(
+            rc,
+            opts.cache,
+            opts.suite
+                .iter()
+                .map(|s| Workload::from(*s))
+                .chain(programs.iter().cloned()),
+        );
+        let oracle_table = oracle
+            .join()
+            .unwrap_or_else(|p| std::panic::resume_unwind(p));
+        (fig1_points, sizing_runs, programs, pairs, oracle_table)
+    });
+    let oracle_table = oracle_table?;
     let (paired_runs, program_runs) = pairs.split_at(opts.suite.len());
 
     let pages = vec![
@@ -266,10 +287,7 @@ pub fn generate_book(opts: &ReportOptions<'_>) -> io::Result<BookSummary> {
                     architectural oracle's witness — the final register/memory state a \
                     fresh re-execution must reproduce — so any emulator or program \
                     change shows up here byte-visibly.",
-            tables: vec![
-                realprog_table(&programs, program_runs),
-                realprog_oracle_table(),
-            ],
+            tables: vec![realprog_table(&programs, program_runs), oracle_table],
             chart: Some((0, 0, 4)),
         },
     ];
@@ -343,8 +361,10 @@ fn realprog_table(programs: &[Workload], runs: &[PairedRun]) -> Table {
 /// The architectural-oracle table: re-executed final state of every
 /// committed program. Editing a program — or the emulator — changes
 /// this page byte-visibly, which is what makes the book a conformance
-/// witness for the real-ISA frontend.
-fn realprog_oracle_table() -> Table {
+/// witness for the real-ISA frontend. The re-executions are independent
+/// and run in parallel; a program whose re-execution diverges from its
+/// record fails the table with an error naming it.
+fn realprog_oracle_table(programs: &[Arc<RvWorkload>]) -> io::Result<Table> {
     let mut t = Table::new(
         "Real programs - architectural oracle",
         &[
@@ -355,19 +375,18 @@ fn realprog_oracle_table() -> Table {
             "mem_digest",
         ],
     );
-    for name in RV_PROGRAM_NAMES {
-        let w = spec_traces::rv_by_name(name).expect("committed program");
-        let rep = rv_front::ArchOracle::verify(&w)
-            .unwrap_or_else(|e| panic!("arch-oracle mismatch on {name}: {e}"));
+    let reports = parallel_map_with(0, programs, |w| ArchOracle::verify(w));
+    for (w, rep) in programs.iter().zip(reports) {
+        let rep = rep.map_err(|e| io::Error::other(format!("{}: {e}", w.name())))?;
         t.push_row(vec![
-            name.into(),
+            w.name().into(),
             rep.retired.to_string(),
             format!("{:#010x}", w.record.state.regs[10]),
             format!("{:08x}", rep.ops_digest),
             format!("{:08x}", rep.mem_digest),
         ]);
     }
-    t
+    Ok(t)
 }
 
 fn index_page(opts: &ReportOptions<'_>, pages: &[Page]) -> String {
@@ -478,6 +497,31 @@ mod tests {
             assert_eq!(before, after, "{} drifted between runs", path.display());
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn oracle_table_names_the_program_it_rejects() {
+        let tampered = |at: usize, tamper: fn(&mut rv_front::ExecRecord)| {
+            let mut pack = rv_pack().to_vec();
+            let mut w = (*pack[at]).clone();
+            let mut rec = (*w.record).clone();
+            tamper(&mut rec);
+            w.record = Arc::new(rec);
+            pack[at] = Arc::new(w);
+            realprog_oracle_table(&pack).unwrap_err().to_string()
+        };
+        assert_eq!(realprog_oracle_table(rv_pack()).unwrap().rows.len(), 4);
+        let e = tampered(2, |rec| rec.state.retired += 1);
+        assert!(
+            e.starts_with("rv:sieve: arch-oracle mismatch: retired"),
+            "{e}"
+        );
+        let e = tampered(3, |rec| rec.state.mem_digest ^= 1 << 77);
+        assert!(
+            e.starts_with("rv:memcpy: arch-oracle mismatch: memory digest"),
+            "{e}"
+        );
+        assert!(!e.contains('\n'), "one line: {e}");
     }
 
     #[test]

@@ -180,7 +180,8 @@ impl Emulator {
         })
     }
 
-    /// Current architectural state (digesting all of memory).
+    /// Current architectural state (digesting all of memory; untouched,
+    /// all-zero memory costs almost nothing to digest).
     pub fn state(&self) -> ArchState {
         ArchState {
             regs: self.regs,

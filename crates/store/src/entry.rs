@@ -444,6 +444,18 @@ mod tests {
         assert_eq!(text, encode_entry("design=conv:128|seed=1", &p));
     }
 
+    /// The checksum is frozen: every stored entry carries one, so a
+    /// drift in `fingerprint128` would make a whole store read as
+    /// corrupt.
+    #[test]
+    fn sum_line_of_a_fixed_entry_is_pinned() {
+        let text = encode_entry("design=conv:128|seed=1", &sample_point());
+        assert_eq!(
+            text.lines().last(),
+            Some("sum 24db55a344e0ce6f9ecfa6f3f7b6a17c")
+        );
+    }
+
     #[test]
     fn truncation_and_corruption_fail_loudly() {
         let text = encode_entry("k", &sample_point());

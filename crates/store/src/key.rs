@@ -93,4 +93,15 @@ mod tests {
         assert_eq!(k.file_name(), format!("{:032x}.point", k.hash128()));
         assert_eq!(k.file_name().len(), 32 + ".point".len());
     }
+
+    /// The content address is frozen: every on-disk store names its
+    /// entry files by it, so a drift in `fingerprint128` or in
+    /// `canonical` would silently orphan them all.
+    #[test]
+    fn file_name_of_a_fixed_key_is_pinned() {
+        assert_eq!(
+            sample().file_name(),
+            "949115a87843b8ddb69f99c101c84683.point"
+        );
+    }
 }

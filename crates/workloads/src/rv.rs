@@ -159,6 +159,45 @@ mod tests {
         assert_eq!(a0_of("rv:memcpy"), acc);
     }
 
+    /// The committed programs' execution digests, as the book's
+    /// architectural-oracle table prints them: a change to a program, the
+    /// emulator or `fingerprint128` fails here, not only in the book diff.
+    #[test]
+    fn pack_digests_are_pinned() {
+        const PINNED: [(&str, u64, u128, u128); 4] = [
+            (
+                "rv:quicksort",
+                5898,
+                0x1e3574d393b75feb9a4eff8d7e3e4e1e,
+                0x9af0c5cdd802328e6194a1bbd36be936,
+            ),
+            (
+                "rv:matmul",
+                29138,
+                0x5acff8fc072411499971556ec47f2ba1,
+                0xc031200a9d263f30e8360177e8fbb996,
+            ),
+            (
+                "rv:sieve",
+                26611,
+                0x7721de868d2a8ab89d0d2be6956254ab,
+                0x2834db71cbd8ad4bb5900ab8a0719e7f,
+            ),
+            (
+                "rv:memcpy",
+                7163,
+                0xde151dcc53159e69191de1cc29fb4da2,
+                0xde79b62d8fa47ec96ccce99d05925641,
+            ),
+        ];
+        for (w, (name, retired, ops, mem)) in rv_pack().iter().zip(PINNED) {
+            assert_eq!(w.name(), name);
+            assert_eq!(w.record.state.retired, retired, "{name} retired");
+            assert_eq!(w.record.ops_digest(), ops, "{name} ops_digest");
+            assert_eq!(w.record.state.mem_digest, mem, "{name} mem_digest");
+        }
+    }
+
     #[test]
     fn pack_periods_and_mixes_are_sane() {
         for w in rv_pack() {
