@@ -58,9 +58,9 @@ fn run_sizing(
             samie.shared_entries_for_quantile(0.99) as u64,
         )]
     };
-    let (point, _) = run_point(
+    let point = run_point(
         cache,
-        design,
+        &design,
         &Workload::from(*spec),
         rc,
         SimConfig::paper(),

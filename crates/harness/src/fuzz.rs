@@ -48,7 +48,7 @@ use spec_traces::{all_workloads, by_name, Workload, WorkloadSpec};
 use trace_isa::{MicroOp, RecordedTrace};
 
 use crate::runner::{parallel_map_with, RunConfig};
-use crate::session::SimSession;
+use crate::session::{SessionEvent, SimSession};
 use crate::sweep::designs_from_specs;
 
 /// Committed-count slack: a design may overshoot its instruction target
@@ -225,8 +225,8 @@ pub fn differential_check(
     let run = catch_unwind(AssertUnwindSafe(|| {
         let mut checked_verdicts: Vec<(String, u64, Vec<String>)> = Vec::new();
         // The architectural oracle is a no-op for synthetic workloads;
-        // for `rv:*` programs it re-executes the emulator and panics on
-        // any state divergence — caught below as a mismatch.
+        // for `rv:*` programs it re-executes the emulator and reports any
+        // state divergence — recorded below as a mismatch.
         let mut session = SimSession::new(DesignSpec::Unbounded, workload)
             .design(DesignSpec::Oracle)
             .arch_oracle()
@@ -235,15 +235,17 @@ pub fn differential_check(
             session = session.design(checked(d.clone()));
         }
         let report = session
-            .on_finish(|id, lsq| {
+            .observer(|e| {
                 // The oracle design is a `CheckedLsq` too, but it panics
                 // on its first divergence, so its count is always 0.
-                if let Some(c) = lsq.as_any().downcast_ref::<CheckedLsq>() {
-                    checked_verdicts.push((
-                        id.to_string(),
-                        c.mismatch_count(),
-                        c.mismatches().to_vec(),
-                    ));
+                if let SessionEvent::DesignFinished { id, lsq, .. } = e {
+                    if let Some(c) = lsq.as_any().downcast_ref::<CheckedLsq>() {
+                        checked_verdicts.push((
+                            id.to_string(),
+                            c.mismatch_count(),
+                            c.mismatches().to_vec(),
+                        ));
+                    }
                 }
             })
             .run();
@@ -262,6 +264,9 @@ pub fn differential_check(
     };
 
     let mut failures = Vec::new();
+    if let Some(Err(e)) = &report.arch_oracle {
+        failures.push(e.clone());
+    }
     let reference: &SimStats = &report.runs[0].stats; // unbounded
     let oracle: &SimStats = &report.runs[1].stats;
     if oracle != reference {

@@ -40,16 +40,15 @@
 //!
 //! ## The front door
 //!
-//! Everything above is built on [`session::SimSession`]: designs are named
-//! by [`DesignSpec`] descriptors (or any custom [`LsqFactory`]), built
-//! once through the object-safe
-//! `Box<dyn LoadStoreQueue>` factory, and simulated on identical traces —
-//! one design or any-N comparisons, with streaming progress observers.
-//! One-off runs (the CLI's `record` and `rv run`, the examples, the
-//! fuzzer) use a session directly; every batch of points — sweeps and
-//! the book — goes through [`sweep::run_sweep`], whose points (like the
-//! sizing study's) take the one cached point path,
-//! [`runner::run_point`].
+//! Designs are named by [`DesignSpec`] descriptors (or any custom
+//! [`LsqFactory`]) and built through the object-safe
+//! `Box<dyn LoadStoreQueue>` factory. One-off runs (the CLI's `record`
+//! and `rv run`, the examples, the fuzzer) use [`session::SimSession`],
+//! which simulates one design or an any-N comparison on identical
+//! traces, with streaming progress observers. Every batch of points —
+//! sweeps and the book — goes through [`sweep::run_sweep`], whose points
+//! (like the sizing study's) take the one cached point path,
+//! [`runner::run_point`], which drives the simulator directly.
 
 pub mod chart;
 pub mod experiments;

@@ -66,7 +66,8 @@
 //!   (default: conv:128,filtered,samie,arb,unbounded,oracle) on the
 //!   identical trace, and verify the run against the architectural
 //!   oracle (fresh re-execution must reproduce registers, memory digest
-//!   and the exact op stream the designs consumed).
+//!   and the exact op stream the designs consumed; a mismatch is one
+//!   stderr line naming the program, exit 1).
 //!
 //! caching: sweep and report consult the content-addressed store at
 //! --store DIR (default .samie-store) and only simulate cache misses;
@@ -131,7 +132,8 @@ enum Exit {
     /// Success, including `--help`.
     Ok,
     /// Runtime failure: I/O, a missing store, a corrupt entry or a real
-    /// program failing the book's architectural oracle.
+    /// program failing the architectural oracle under `report` or
+    /// `rv run`.
     Failure,
     /// Usage error: a malformed command line or incompatible flags.
     Usage,
@@ -682,11 +684,7 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> Exit {
     report.mode = mode;
     outln!("{}", report.table().render());
     if let Some(c) = cache.cache() {
-        outln!(
-            "{} [store {}]",
-            report.cache_summary(),
-            c.store().root().display()
-        );
+        outln!("{}", c.summary(report.wall));
     }
     if let Some(reason) = cache.failure() {
         // Repeated at the tail on purpose: the warning at open time
@@ -774,19 +772,9 @@ fn run_report_command(args: &Args) -> Exit {
         outln!("store UNAVAILABLE — book regenerated uncached: {reason}");
     }
     if let Some(c) = cache.cache() {
-        let speedup = if book.wall.as_secs_f64() > 0.0 {
-            c.saved().as_secs_f64() / book.wall.as_secs_f64()
-        } else {
-            0.0
-        };
-        outln!(
-            "cache: {} hits / {} misses; saved ~{:.2} s of simulation (warm speedup ~{speedup:.0}x) [store {}]",
-            c.hits(),
-            c.misses(),
-            c.saved().as_secs_f64(),
-            c.store().root().display()
-        );
+        outln!("{}", c.summary(book.wall));
         if let Some(want) = args.expect_warm {
+            let speedup = c.warm_speedup(book.wall);
             if c.misses() > 0 {
                 eprintln!("EXPECTED WARM RUN: {} points missed the cache", c.misses());
                 return Exit::NotWarm;
@@ -1024,8 +1012,13 @@ fn run_rv_run(args: &Args, target: &str) -> Exit {
             run.stats.committed
         );
     }
-    if let Some(summary) = &report.arch_oracle {
-        outln!("{summary}");
+    match report.arch_oracle {
+        Some(Ok(summary)) => outln!("{summary}"),
+        Some(Err(e)) => {
+            eprintln!("{e}");
+            return Exit::Failure;
+        }
+        None => {}
     }
     Exit::Ok
 }

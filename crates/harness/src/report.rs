@@ -560,7 +560,7 @@ mod tests {
             },
         );
         let filled = sweep.points.len() as u64;
-        assert_eq!((sweep.hits, swept.misses()), (0, filled));
+        assert_eq!((swept.hits(), swept.misses()), (0, filled));
         opts.cache = Some(&swept);
         generate_book(&opts).unwrap();
         assert_eq!(swept.hits(), filled, "the book hits every swept point");

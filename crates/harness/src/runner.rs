@@ -3,9 +3,9 @@
 //! simulates on a miss), the store front end [`PointCache`], and the
 //! scoped parallel map [`parallel_map_with`] that sweeps fan out on.
 //!
-//! Batches of points go through [`run_sweep`](crate::sweep::run_sweep);
-//! one-off runs use [`SimSession`] directly — the single construction
-//! path for every LSQ design.
+//! Batches of points go through [`run_sweep`](crate::sweep::run_sweep),
+//! whose points [`run_point`] simulates by driving [`Simulator`]
+//! directly; one-off runs use [`SimSession`](crate::session::SimSession).
 
 use std::io;
 use std::path::Path;
@@ -13,11 +13,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use exp_store::{ExperimentStore, PointKey, StoreError, StoredPoint, SIM_VERSION};
-use ooo_sim::{SimConfig, SimStats};
-use samie_lsq::LoadStoreQueue;
+use ooo_sim::{SimConfig, SimStats, Simulator};
+use samie_lsq::{LoadStoreQueue, LsqFactory};
 use spec_traces::Workload;
-
-use crate::session::{IntoDesign, SimSession};
 
 /// Simulation length parameters.
 #[derive(Debug, Clone, Copy)]
@@ -80,8 +78,10 @@ impl PairedRun {
 /// [`PointKey`] for a simulation point (under its [`SimConfig`] and the
 /// current [`SIM_VERSION`]), serves cache hits, and
 /// records fresh results as soon as they are computed — which is what
-/// makes interrupted sweeps resumable. Hit/miss/saved-time counters are
-/// atomic so parallel sweep workers share one cache.
+/// makes interrupted sweeps resumable. It is the one ledger of what the
+/// cache served: hit/miss/saved-time counters are atomic so parallel
+/// sweep workers share one cache, and [`summary`](Self::summary) renders
+/// them as the line `sweep` and `report` print.
 #[derive(Debug)]
 pub struct PointCache {
     store: ExperimentStore,
@@ -134,19 +134,15 @@ impl PointCache {
     /// `expected_extras` names the extras the caller needs: a stored
     /// entry missing any of them (e.g. cached by a plain sweep before an
     /// extras-collecting experiment asked for the same point) is treated
-    /// as a miss and recomputed, never silently served incomplete. On
-    /// recomputation the stored extras are *merged* with the fresh ones
-    /// (fresh values win), so two experiments caching disjoint extras on
-    /// the same point enrich one entry instead of evicting each other.
-    /// Corrupt entries are reported on stderr, counted, and recomputed.
-    /// Returns the point and whether it was a cache hit.
+    /// as a miss, recomputed and replaced, never silently served
+    /// incomplete. Corrupt entries are reported on stderr, counted, and
+    /// recomputed.
     pub fn get_or_compute(
         &self,
         key: &PointKey,
         expected_extras: &[&str],
         compute: impl FnOnce() -> (SimStats, Vec<(String, u64)>),
-    ) -> (StoredPoint, bool) {
-        let mut stale_extras = Vec::new();
+    ) -> StoredPoint {
         // Whether an entry already occupies this key (incomplete or
         // corrupt): storing the recomputed point must then *replace* it —
         // the write-once `put` would verify the old entry and discard the
@@ -161,11 +157,8 @@ impl PointCache {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     self.saved_nanos
                         .fetch_add(point.wall_nanos, Ordering::Relaxed);
-                    return (point, true);
+                    return point;
                 }
-                // Incomplete for this caller, but its extras are still
-                // good — carry them into the refreshed entry.
-                stale_extras = point.extras;
                 replace = true;
             }
             Ok(None) => {}
@@ -177,12 +170,7 @@ impl PointCache {
             Err(e) => eprintln!("warning: store read failed ({e}); recomputing the point"),
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let ((stats, mut extras), wall_nanos) = timed(compute);
-        for (name, v) in stale_extras {
-            if !extras.iter().any(|(n, _)| *n == name) {
-                extras.push((name, v));
-            }
-        }
+        let ((stats, extras), wall_nanos) = timed(compute);
         let point = StoredPoint {
             stats,
             wall_nanos,
@@ -196,7 +184,7 @@ impl PointCache {
         if let Err(e) = stored {
             eprintln!("warning: could not cache point ({e})");
         }
-        (point, false)
+        point
     }
 
     /// Cache hits served so far.
@@ -219,6 +207,30 @@ impl PointCache {
     pub fn saved(&self) -> Duration {
         Duration::from_nanos(self.saved_nanos.load(Ordering::Relaxed))
     }
+
+    /// How much faster a run that took `wall` was than recomputing the
+    /// points it was served: [`saved`](Self::saved) over `wall`, 0 when
+    /// `wall` is zero.
+    pub fn warm_speedup(&self, wall: Duration) -> f64 {
+        let w = wall.as_secs_f64();
+        if w > 0.0 {
+            self.saved().as_secs_f64() / w
+        } else {
+            0.0
+        }
+    }
+
+    /// The one-line cache summary printed after a run that took `wall`.
+    pub fn summary(&self, wall: Duration) -> String {
+        format!(
+            "cache: {} hits / {} misses; saved ~{:.2} s of simulation (warm speedup ~{:.0}x) [store {}]",
+            self.hits(),
+            self.misses(),
+            self.saved().as_secs_f64(),
+            self.warm_speedup(wall),
+            self.store.root().display()
+        )
+    }
 }
 
 /// Run `f` and return its result with the host nanoseconds it took.
@@ -233,43 +245,39 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// Simulate one `(design, workload, run-config, core-config)` point —
-/// through `cache` when given — and return it with whether it was a
-/// cache hit.
+/// through `cache` when given.
 ///
+/// The point is simulated by driving [`Simulator`] directly: build the
+/// design, warm up for `rc.warmup` instructions, measure `rc.instrs`.
 /// `probe` reads named `u64` extras off the finished LSQ (statistics
 /// that live on the design rather than in [`SimStats`], e.g. occupancy
 /// quantiles); it runs only when the point is simulated. `extras` names
-/// the ones a cache hit must carry, with the guard and merge semantics
-/// of [`PointCache::get_or_compute`]. Uncached, the point's `wall_nanos`
-/// is this run's compute time; on a hit it is the recorded one.
+/// the ones a cache hit must carry (see [`PointCache::get_or_compute`]).
+/// Uncached, the point's `wall_nanos` is this run's compute time; on a
+/// hit it is the recorded one.
 pub fn run_point(
     cache: Option<&PointCache>,
-    design: impl IntoDesign,
+    design: &dyn LsqFactory,
     workload: &Workload,
     rc: &RunConfig,
     cfg: SimConfig,
     extras: &[&str],
     probe: impl Fn(&dyn LoadStoreQueue) -> Vec<(String, u64)>,
-) -> (StoredPoint, bool) {
-    let design = design.into_design();
+) -> StoredPoint {
     let compute = || {
-        let mut extras = Vec::new();
-        let mut report = SimSession::new(&design, workload)
-            .config(cfg)
-            .run_config(*rc)
-            .on_finish(|_, lsq| extras = probe(lsq))
-            .run();
-        (report.runs.swap_remove(0).stats, extras)
+        let mut sim = Simulator::new(cfg, design.build(), workload.build_trace(rc.seed));
+        sim.warm_up(rc.warmup);
+        let stats = sim.run(rc.instrs);
+        (stats, probe(sim.lsq()))
     };
     match cache {
         None => {
             let ((stats, extras), wall_nanos) = timed(compute);
-            let point = StoredPoint {
+            StoredPoint {
                 stats,
                 wall_nanos,
                 extras,
-            };
-            (point, false)
+            }
         }
         Some(cache) => {
             let key = cache.key(&design.id(), workload, rc, &cfg);
@@ -333,6 +341,7 @@ pub fn parallel_map_with<T: Sync, R: Send, F: Fn(&T) -> R + Sync>(
 mod tests {
     use super::*;
     use crate::experiments::paired;
+    use crate::session::SimSession;
     use samie_lsq::DesignSpec;
     use spec_traces::by_name;
 
@@ -343,10 +352,9 @@ mod tests {
         w: &Workload,
         rc: &RunConfig,
     ) -> SimStats {
-        run_point(cache, design, w, rc, SimConfig::paper(), &[], |_| {
+        run_point(cache, &design, w, rc, SimConfig::paper(), &[], |_| {
             Vec::new()
         })
-        .0
         .stats
     }
 
@@ -521,9 +529,9 @@ mod tests {
         let design = DesignSpec::samie_paper();
         type Probe<'p> = &'p dyn Fn(&dyn LoadStoreQueue) -> Vec<(String, u64)>;
         let with_extras = |expected: &[&str], probe: Probe<'_>| {
-            let (point, _) = run_point(
+            let point = run_point(
                 Some(&cache),
-                design,
+                &design,
                 &w,
                 &rc,
                 SimConfig::paper(),
@@ -551,26 +559,11 @@ mod tests {
         assert_eq!(extras.len(), 1, "probe ran despite the stale hit");
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
 
-        // Now the enriched entry serves both call shapes as hits.
+        // Now the refreshed entry serves both call shapes as hits.
         let (_, again) = with_extras(&["p99_shared"], &probe);
         assert_eq!(again, extras);
         let _ = point_stats(Some(&cache), design, &w, &rc);
         assert_eq!((cache.hits(), cache.misses()), (2, 2));
-
-        // A second experiment caching a *different* extra on the same
-        // point must not evict p99_shared: the refresh merges extras.
-        let probe_b = |_: &dyn LoadStoreQueue| vec![("p50_shared".to_string(), 1)];
-        let (_, merged) = with_extras(&["p50_shared"], &probe_b);
-        assert!(merged.iter().any(|(n, _)| n == "p50_shared"));
-        assert!(
-            merged.iter().any(|(n, _)| n == "p99_shared"),
-            "stored extras survive the refresh"
-        );
-        // Both call shapes now hit the one enriched entry.
-        let (_, a) = with_extras(&["p99_shared"], &probe);
-        let (_, b) = with_extras(&["p50_shared"], &probe_b);
-        assert_eq!(a, b, "one entry serves both experiments");
-        assert_eq!(cache.misses(), 3, "no ping-pong recomputation");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,5 +1,7 @@
-//! [`SimSession`] — the builder every one-off run, sweep point and
-//! example goes through to simulate designs.
+//! [`SimSession`] — the builder every one-off run (the CLI's `record`
+//! and `rv run`, the examples, the fuzzer) goes through to simulate
+//! designs. Sweep points skip it: [`run_point`](crate::runner::run_point)
+//! drives the simulator directly.
 //!
 //! A session pairs one workload with any number of [`DesignSpec`]s (or
 //! custom [`samie_lsq::LsqFactory`] handles), runs them on identical
@@ -28,33 +30,38 @@
 //! ## Examples
 //!
 //! ```
-//! use exp_harness::session::SimSession;
-//! use samie_lsq::DesignSpec;
+//! use exp_harness::runner::RunConfig;
+//! use exp_harness::session::{SessionEvent, SimSession};
+//! use samie_lsq::{DesignSpec, SamieLsq};
 //! use spec_traces::{by_name, find_workload};
 //!
 //! // Single design, quick run.
+//! let rc = RunConfig { instrs: 20_000, warmup: 5_000, seed: 1 };
 //! let report = SimSession::new(DesignSpec::samie_paper(), by_name("gzip").unwrap())
-//!     .instrs(20_000)
-//!     .warmup(5_000)
-//!     .seed(1)
+//!     .run_config(rc)
 //!     .run();
 //! assert!(report.stats().ipc() > 0.1);
 //!
 //! // Any-N comparison on identical traces — here on an adversarial
-//! // workload — with streaming progress.
+//! // workload — with a finish event per design. Design-specific
+//! // statistics are read off the finished LSQ by downcasting it.
+//! let mut p99 = 0;
 //! let report = SimSession::new(DesignSpec::conventional_paper(), find_workload("alias-storm").unwrap())
 //!     .design(DesignSpec::samie_paper())
 //!     .design(DesignSpec::Unbounded)
-//!     .instrs(20_000)
-//!     .warmup(5_000)
+//!     .run_config(rc)
 //!     .observer(|e| {
-//!         if let exp_harness::session::SessionEvent::DesignFinished { id, stats, .. } = e {
+//!         if let SessionEvent::DesignFinished { id, stats, lsq, .. } = e {
 //!             eprintln!("{id}: IPC {:.3}", stats.ipc());
+//!             if let Some(samie) = lsq.as_any().downcast_ref::<SamieLsq>() {
+//!                 p99 = samie.shared_entries_for_quantile(0.99);
+//!             }
 //!         }
 //!     })
 //!     .run();
 //! assert_eq!(report.runs.len(), 3);
 //! assert!(report.ipc_loss_vs_first(1).abs() < 1.0);
+//! assert!(p99 > 0);
 //! ```
 
 use std::io;
@@ -191,10 +198,12 @@ pub struct SessionReport {
     /// Largest trace prefix any design pulled (the length
     /// [`record_trace`] captures).
     pub ops_consumed: u64,
-    /// Architectural-oracle summary, if [`SimSession::arch_oracle`] was
+    /// Architectural-oracle verdict, if [`SimSession::arch_oracle`] was
     /// requested and the workload is a real `rv:*` program (`None` for
-    /// synthetic workloads, which have no architectural state to check).
-    pub arch_oracle: Option<String>,
+    /// synthetic workloads, which have no architectural state to check):
+    /// the success summary, or one line `rv:<name>: arch-oracle
+    /// mismatch: ...` naming the program and what diverged.
+    pub arch_oracle: Option<Result<String, String>>,
 }
 
 impl SessionReport {
@@ -222,20 +231,16 @@ impl SessionReport {
 }
 
 type Observer<'s> = Box<dyn FnMut(&SessionEvent<'_>) + 's>;
-type FinishHook<'s> = Box<dyn FnMut(&str, &dyn LoadStoreQueue) + 's>;
 
 /// Builder for simulation sessions — see the [module docs](self).
-/// The lifetime covers the observer/finish closures.
+/// The lifetime covers the observer closure.
 pub struct SimSession<'s> {
     designs: Vec<DesignHandle>,
     workload: Workload,
     cfg: SimConfig,
-    instrs: u64,
-    warmup: u64,
-    seed: u64,
+    rc: RunConfig,
     progress_every: u64,
     observer: Option<Observer<'s>>,
-    on_finish: Option<FinishHook<'s>>,
     arch_oracle: bool,
 }
 
@@ -243,17 +248,13 @@ impl<'s> SimSession<'s> {
     /// A session simulating `design` on `workload` under the paper's
     /// core configuration and the default [`RunConfig`] length.
     pub fn new(design: impl IntoDesign, workload: impl IntoWorkload) -> Self {
-        let rc = RunConfig::default();
         SimSession {
             designs: vec![design.into_design()],
             workload: workload.into_workload(),
             cfg: SimConfig::paper(),
-            instrs: rc.instrs,
-            warmup: rc.warmup,
-            seed: rc.seed,
+            rc: RunConfig::default(),
             progress_every: 0,
             observer: None,
-            on_finish: None,
             arch_oracle: false,
         }
     }
@@ -270,29 +271,10 @@ impl<'s> SimSession<'s> {
         self
     }
 
-    /// Set instructions measured / warm-up / seed from a [`RunConfig`].
+    /// Set instructions measured, warm-up and trace seed (default:
+    /// [`RunConfig::default`]).
     pub fn run_config(mut self, rc: RunConfig) -> Self {
-        self.instrs = rc.instrs;
-        self.warmup = rc.warmup;
-        self.seed = rc.seed;
-        self
-    }
-
-    /// Instructions in the measured interval.
-    pub fn instrs(mut self, instrs: u64) -> Self {
-        self.instrs = instrs;
-        self
-    }
-
-    /// Warm-up instructions before measurement.
-    pub fn warmup(mut self, warmup: u64) -> Self {
-        self.warmup = warmup;
-        self
-    }
-
-    /// Trace seed (same seed ⇒ byte-identical runs).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.rc = rc;
         self
     }
 
@@ -301,32 +283,11 @@ impl<'s> SimSession<'s> {
     /// [`SessionEvent::Progress`] events additionally require a nonzero
     /// [`progress_every`](SimSession::progress_every) interval; the
     /// lifecycle events (started / warm-up done / finished) always fire.
+    /// [`SessionEvent::DesignFinished`] carries the finished LSQ, the
+    /// path to design-specific statistics that live on it rather than in
+    /// [`SimStats`] (downcast via [`LoadStoreQueue::as_any`]).
     pub fn observer(mut self, observer: impl FnMut(&SessionEvent<'_>) + 's) -> Self {
         self.observer = Some(Box::new(observer));
-        self
-    }
-
-    /// Call `hook(id, lsq)` with each finished design — the convenient
-    /// path to design-specific statistics that live on the LSQ rather
-    /// than in [`SimStats`] (downcast via [`LoadStoreQueue::as_any`]):
-    ///
-    /// ```
-    /// use exp_harness::session::SimSession;
-    /// use samie_lsq::{DesignSpec, SamieLsq};
-    /// use spec_traces::by_name;
-    ///
-    /// let mut p99 = 0;
-    /// SimSession::new(DesignSpec::samie_paper(), by_name("gzip").unwrap())
-    ///     .instrs(10_000)
-    ///     .warmup(2_000)
-    ///     .on_finish(|_, lsq| {
-    ///         let samie = lsq.as_any().downcast_ref::<SamieLsq>().unwrap();
-    ///         p99 = samie.shared_entries_for_quantile(0.99);
-    ///     })
-    ///     .run();
-    /// ```
-    pub fn on_finish(mut self, hook: impl FnMut(&str, &dyn LoadStoreQueue) + 's) -> Self {
-        self.on_finish = Some(Box::new(hook));
         self
     }
 
@@ -349,9 +310,9 @@ impl<'s> SimSession<'s> {
     /// [`Workload::build_trace`] and checks it op-for-op against the
     /// committed stream. This is a timing-independent correctness check:
     /// it can never be satisfied by a simulator bug, only by the trace
-    /// frontend genuinely reproducing the program. Mismatches panic (a
-    /// failed oracle is a defect, not a result); the success summary
-    /// lands in [`SessionReport::arch_oracle`].
+    /// frontend genuinely reproducing the program. The verdict — the
+    /// success summary or a one-line error naming the program — lands in
+    /// [`SessionReport::arch_oracle`].
     pub fn arch_oracle(mut self) -> Self {
         self.arch_oracle = true;
         self
@@ -381,7 +342,7 @@ impl<'s> SimSession<'s> {
         };
         SessionReport {
             workload: self.workload.name().to_string(),
-            seed: self.seed,
+            seed: self.rc.seed,
             runs,
             ops_consumed,
             arch_oracle,
@@ -390,16 +351,16 @@ impl<'s> SimSession<'s> {
 
     /// Run the architectural oracle for an `rv:*` workload: re-execute on
     /// a fresh emulator and cross-check the consumed trace prefix against
-    /// the committed op stream. Returns the success summary, or `None`
-    /// for workloads without architectural state.
-    fn verify_arch_oracle(&self, ops_consumed: u64) -> Option<String> {
+    /// the committed op stream. Returns the verdict, or `None` for
+    /// workloads without architectural state.
+    fn verify_arch_oracle(&self, ops_consumed: u64) -> Option<Result<String, String>> {
         let w = self.workload.rv()?;
-        let report = rv_front::ArchOracle::verify(w)
-            .unwrap_or_else(|e| panic!("arch-oracle mismatch on {}: {e}", w.name()));
-        let mut src = self.workload.build_trace(self.seed);
-        rv_front::ArchOracle::verify_stream_prefix(w, &mut *src, ops_consumed)
-            .unwrap_or_else(|e| panic!("arch-oracle stream mismatch on {}: {e}", w.name()));
-        Some(report.to_string())
+        let verdict = rv_front::ArchOracle::verify(w).and_then(|report| {
+            let mut src = self.workload.build_trace(self.rc.seed);
+            rv_front::ArchOracle::verify_stream_prefix(w, &mut *src, ops_consumed)?;
+            Ok(report.to_string())
+        });
+        Some(verdict.map_err(|e| format!("{}: {e}", w.name())))
     }
 
     fn emit(&mut self, e: SessionEvent<'_>) {
@@ -416,40 +377,42 @@ impl<'s> SimSession<'s> {
         id: &str,
         lsq: Box<dyn LoadStoreQueue>,
     ) -> (SimStats, u64) {
-        let mut sim = Simulator::new(self.cfg, lsq, self.workload.build_trace(self.seed));
-        sim.warm_up(self.warmup);
+        let RunConfig {
+            instrs,
+            warmup,
+            seed,
+        } = self.rc;
+        let mut sim = Simulator::new(self.cfg, lsq, self.workload.build_trace(seed));
+        sim.warm_up(warmup);
         self.emit(SessionEvent::WarmupDone { index, id });
-        if self.progress_every == 0 || self.observer.is_none() {
-            sim.run(self.instrs);
+        // Chunks with absolute targets: the same cycle sequence as one
+        // run(instrs) call, so results stay bit-identical under any
+        // progress interval (0 runs the interval as one chunk).
+        let chunk = if self.progress_every == 0 {
+            instrs
         } else {
-            // Chunked run with absolute targets: the same cycle
-            // sequence as one run(instrs) call, so results stay
-            // bit-identical under any progress interval.
-            let mut committed = 0;
-            while committed < self.instrs {
-                let step = self.progress_every.min(self.instrs - committed);
-                let stats = sim.run(step);
-                committed = stats.committed;
+            self.progress_every
+        };
+        let mut stats = sim.stats();
+        while stats.committed < instrs {
+            stats = sim.run(chunk.min(instrs - stats.committed));
+            if self.progress_every > 0 {
                 self.emit(SessionEvent::Progress {
                     index,
                     id,
-                    committed,
-                    target: self.instrs,
+                    committed: stats.committed,
+                    target: instrs,
                     stats: &stats,
                     lsq: sim.lsq(),
                 });
             }
         }
-        let stats = sim.stats();
         self.emit(SessionEvent::DesignFinished {
             index,
             id,
             stats: &stats,
             lsq: sim.lsq(),
         });
-        if let Some(hook) = &mut self.on_finish {
-            hook(id, sim.lsq());
-        }
         (stats, sim.trace_ops_pulled())
     }
 }
@@ -475,11 +438,19 @@ mod tests {
     use samie_lsq::SamieLsq;
     use spec_traces::{by_name, SpecTrace};
 
+    /// The run length of the real-program tests (the default seed).
+    const RV_RC: RunConfig = RunConfig {
+        instrs: 8_000,
+        warmup: 2_000,
+        seed: 42,
+    };
+
     fn quick(design: impl IntoDesign) -> SimSession<'static> {
-        SimSession::new(design, by_name("gzip").unwrap())
-            .instrs(12_000)
-            .warmup(3_000)
-            .seed(7)
+        SimSession::new(design, by_name("gzip").unwrap()).run_config(RunConfig {
+            instrs: 12_000,
+            warmup: 3_000,
+            seed: 7,
+        })
     }
 
     #[test]
@@ -555,19 +526,42 @@ mod tests {
             DesignSpec::samie_paper(),
             spec_traces::find_workload("rv:sieve").unwrap(),
         )
-        .instrs(8_000)
-        .warmup(2_000)
+        .run_config(RV_RC)
         .arch_oracle()
         .run();
         let summary = report
             .arch_oracle
-            .expect("rv workload must be oracle-checked");
+            .expect("rv workload must be oracle-checked")
+            .expect("the committed program passes");
         assert!(summary.starts_with("arch-oracle ok"), "{summary}");
 
         // Synthetic workloads have no architectural state: the oracle
         // request is a no-op, not an error.
         let report = quick(DesignSpec::samie_paper()).arch_oracle().run();
         assert_eq!(report.arch_oracle, None);
+    }
+
+    #[test]
+    fn arch_oracle_mismatch_is_an_error_naming_the_program() {
+        // rv:sieve with a record that claims one more retired op than a
+        // re-execution finds.
+        let mut w = (*spec_traces::rv_pack()[2]).clone();
+        let mut rec = (*w.record).clone();
+        rec.state.retired += 1;
+        w.record = Arc::new(rec);
+        let report = SimSession::new(DesignSpec::samie_paper(), Workload::Rv(Arc::new(w)))
+            .run_config(RV_RC)
+            .arch_oracle()
+            .run();
+        let e = report
+            .arch_oracle
+            .expect("rv workload must be oracle-checked")
+            .unwrap_err();
+        assert!(
+            e.starts_with("rv:sieve: arch-oracle mismatch: retired"),
+            "{e}"
+        );
+        assert!(!e.contains('\n'), "one line: {e}");
     }
 
     #[test]

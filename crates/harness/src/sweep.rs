@@ -293,43 +293,37 @@ pub struct SweepOptions<'a> {
 /// sweep resumes where it stopped). The report rows are byte-identical
 /// to an uncached sweep — cache hits rebuild the row from the stored
 /// integer counters; only the wall-clock columns differ (a hit reports
-/// the *original* compute time, which is what the warm-speedup figure
-/// sums).
+/// the *original* compute time). The cache itself counts its hits,
+/// misses and saved time ([`PointCache::summary`]).
 #[allow(
     clippy::disallowed_methods,
     reason = "a sweep's wall time is host time by design: it is the throughput the bench reports"
 )]
 pub fn run_sweep(grid: &SweepGrid, opts: &SweepOptions<'_>) -> SweepReport {
-    let points = grid.expand();
+    let expanded = grid.expand();
     let t0 = Instant::now();
-    let results = parallel_map_with(opts.jobs, &points, |(design, bench, seed)| {
+    let points = parallel_map_with(opts.jobs, &expanded, |(design, bench, seed)| {
         let rc = RunConfig {
             seed: *seed,
             ..grid.rc
         };
-        let (point, hit) = run_point(opts.cache, design, bench, &rc, grid.cfg, &[], |_| {
+        let point = run_point(opts.cache, &**design, bench, &rc, grid.cfg, &[], |_| {
             Vec::new()
         });
-        let point = SweepPoint {
+        SweepPoint {
             design: design.id(),
             bench: bench.name().to_string(),
             seed: *seed,
             instructions: rc.warmup + point.stats.committed,
             stats: point.stats,
             wall: Duration::from_nanos(point.wall_nanos),
-        };
-        (point, hit)
+        }
     });
-    let wall = t0.elapsed();
-    let hit_walls: Vec<Duration> = results.iter().filter(|r| r.1).map(|r| r.0.wall).collect();
     SweepReport {
         mode: "sweep",
         rc: grid.rc,
-        wall,
-        hits: hit_walls.len(),
-        misses: results.len() - hit_walls.len(),
-        saved: hit_walls.into_iter().sum(),
-        points: results.into_iter().map(|r| r.0).collect(),
+        wall: t0.elapsed(),
+        points,
     }
 }
 
@@ -343,40 +337,11 @@ pub struct SweepReport {
     /// End-to-end wall time of the whole grid (≤ sum of point walls when
     /// workers run in parallel).
     pub wall: Duration,
-    /// Points served from the experiment store (0 for uncached sweeps).
-    pub hits: usize,
-    /// Points actually simulated this run.
-    pub misses: usize,
-    /// Recorded compute time the hits avoided (the "cold" cost of the
-    /// cached points); `saved / wall` is the warm-speedup figure.
-    pub saved: Duration,
     /// Per-point results, in grid order.
     pub points: Vec<SweepPoint>,
 }
 
 impl SweepReport {
-    /// How much faster this (partially) warm run was than recomputing the
-    /// cached points: recorded cold time of the hits over this run's
-    /// grid wall time. 0 when nothing was cached.
-    pub fn warm_speedup(&self) -> f64 {
-        let w = self.wall.as_secs_f64();
-        if w <= 0.0 {
-            0.0
-        } else {
-            self.saved.as_secs_f64() / w
-        }
-    }
-
-    /// One-line cache summary for console output.
-    pub fn cache_summary(&self) -> String {
-        format!(
-            "cache: {} hits / {} misses; saved ~{:.2} s of simulation (warm speedup ~{:.0}x)",
-            self.hits,
-            self.misses,
-            self.saved.as_secs_f64(),
-            self.warm_speedup()
-        )
-    }
     /// Total simulated instructions across all points.
     pub fn total_instructions(&self) -> u64 {
         self.points.iter().map(|p| p.instructions).sum()
@@ -561,7 +526,7 @@ pub fn baseline_worst_point_sim_ips(json: &str) -> Option<f64> {
 }
 
 /// Compare a fresh report against a checked-in baseline: `Ok` unless
-/// throughput regressed by more than `factor` (CI uses 2.0 — only a
+/// throughput regressed by more than `factor` (CI uses 1.75 — only a
 /// *gross* regression fails the smoke job, since runner hardware
 /// varies). Two gates, both required:
 ///
@@ -801,7 +766,11 @@ mod tests {
     fn cached_sweep_matches_cold_sweep_byte_for_byte() {
         let dir = std::env::temp_dir().join("samie-sweep-cache-test");
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = PointCache::open(&dir).unwrap();
+        // One cache per pass, so each pass's counters are its own.
+        let (cold_cache, warm_cache) = (
+            PointCache::open(&dir).unwrap(),
+            PointCache::open(&dir).unwrap(),
+        );
         let rc = RunConfig {
             instrs: 6_000,
             warmup: 1_000,
@@ -823,23 +792,23 @@ mod tests {
             &grid,
             &SweepOptions {
                 jobs: 1,
-                cache: Some(&cache),
+                cache: Some(&cold_cache),
             },
         );
         let warm = run_sweep(
             &grid,
             &SweepOptions {
                 jobs: 2,
-                cache: Some(&cache),
+                cache: Some(&warm_cache),
             },
         );
-        assert_eq!((cold.hits, cold.misses), (0, 6));
-        assert_eq!((warm.hits, warm.misses), (6, 0));
-        assert!(warm.saved > Duration::ZERO);
+        assert_eq!((cold_cache.hits(), cold_cache.misses()), (0, 6));
+        assert_eq!((warm_cache.hits(), warm_cache.misses()), (6, 0));
+        assert!(warm_cache.saved() > Duration::ZERO);
         let json = plain.to_json_deterministic();
         assert_eq!(json, cold.to_json_deterministic());
         assert_eq!(json, warm.to_json_deterministic());
-        assert!(warm.cache_summary().contains("6 hits / 0 misses"));
+        assert!(warm_cache.summary(warm.wall).contains("6 hits / 0 misses"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -885,9 +854,6 @@ mod tests {
             mode: "bench",
             rc,
             wall: Duration::from_millis(120),
-            hits: 0,
-            misses: 2,
-            saved: Duration::ZERO,
             points: vec![
                 synthetic_point("conv:128", 60_000, Duration::from_millis(20)),
                 synthetic_point("samie:64x2x8:sh8:ab64", 40_000, Duration::from_millis(100)),

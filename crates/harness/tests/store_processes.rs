@@ -41,7 +41,7 @@ fn small_grid(seed: u64) -> SweepGrid {
 
 /// A fresh scratch directory (removed first if a previous run left it).
 fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("samie-shard-fabric-{name}"));
+    let dir = std::env::temp_dir().join(format!("samie-store-processes-{name}"));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -136,14 +136,15 @@ fn overlapping_processes_and_threads_leave_zero_corrupt_entries() {
     assert_eq!(temps, 0, "no leaked temp files");
 
     // And the racy store still serves a byte-identical warm sweep.
+    let warm_cache = PointCache::open(&store).unwrap();
     let warm = run_sweep(
         &grid,
         &SweepOptions {
             jobs: 1,
-            cache: Some(&cache),
+            cache: Some(&warm_cache),
         },
     );
-    assert_eq!((warm.hits, warm.misses), (4, 0));
+    assert_eq!((warm_cache.hits(), warm_cache.misses()), (4, 0));
     assert_eq!(warm.to_json_deterministic(), local.to_json_deterministic());
     std::fs::remove_dir_all(&store).unwrap();
     let _ = std::fs::remove_dir_all(&out);
@@ -206,15 +207,19 @@ fn sigkilled_worker_loses_nothing_and_a_resumed_sweep_completes_the_grid() {
 
     // A resumed sweep completes the exact grid — survivors are cache
     // hits, the rest simulate — bit-identical to a never-killed run.
+    let resumed_cache = PointCache::open(&store).unwrap();
     let resumed = run_sweep(
         &grid,
         &SweepOptions {
             jobs: 0,
-            cache: Some(&cache),
+            cache: Some(&resumed_cache),
         },
     );
-    assert_eq!(resumed.hits + resumed.misses, 6);
-    assert!(resumed.hits >= survivors, "survivors served from the store");
+    assert_eq!(resumed_cache.hits() + resumed_cache.misses(), 6);
+    assert!(
+        resumed_cache.hits() >= survivors as u64,
+        "survivors served from the store"
+    );
     let serial = run_sweep(
         &grid,
         &SweepOptions {

@@ -10,6 +10,7 @@
 //! cargo run --release --example deadlock_pathology
 //! ```
 
+use exp_harness::runner::RunConfig;
 use exp_harness::session::{SessionEvent, SimSession};
 use samie_lsq::DesignSpec;
 use spec_traces::by_name;
@@ -25,9 +26,11 @@ fn narrate(bench: &str, instrs: u64) {
     let mut abuf_busy = 0u64;
     let mut chunk = 0u64;
     let report = SimSession::new(DesignSpec::samie_paper(), spec)
-        .instrs(instrs)
-        .warmup(instrs / 5)
-        .seed(42)
+        .run_config(RunConfig {
+            instrs,
+            warmup: instrs / 5,
+            seed: 42,
+        })
         .progress_every(instrs / chunks)
         .observer(|e| {
             let SessionEvent::Progress { stats, lsq, .. } = e else {

@@ -11,7 +11,7 @@
 //! ```
 
 use exp_harness::runner::RunConfig;
-use exp_harness::session::SimSession;
+use exp_harness::session::{SessionEvent, SimSession};
 use exp_harness::sweep::{run_sweep, SweepGrid, SweepOptions};
 use samie_lsq::{DesignSpec, FilteredLsq, SamieConfig};
 use spec_traces::{by_name, Workload};
@@ -99,9 +99,11 @@ fn main() {
     let report = SimSession::new(DesignSpec::conventional_paper(), spec)
         .design(DesignSpec::filtered_paper())
         .run_config(rc)
-        .on_finish(|_, lsq| {
-            if let Some(filt) = lsq.as_any().downcast_ref::<FilteredLsq>() {
-                filter_rate = filt.filter_rate();
+        .observer(|e| {
+            if let SessionEvent::DesignFinished { lsq, .. } = e {
+                if let Some(filt) = lsq.as_any().downcast_ref::<FilteredLsq>() {
+                    filter_rate = filt.filter_rate();
+                }
             }
         })
         .run();

@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart [benchmark] [instructions]
 //! ```
 
+use exp_harness::runner::RunConfig;
 use exp_harness::session::{SessionEvent, SimSession};
 use samie_lsq::{DesignSpec, LsqOccupancy};
 use spec_traces::by_name;
@@ -29,21 +30,21 @@ fn main() {
     println!("simulating {instrs} instructions of `{bench}` on the paper's 8-wide core...");
     let mut occ = LsqOccupancy::default();
     let report = SimSession::new(DesignSpec::samie_paper(), spec)
-        .instrs(instrs)
-        .warmup(instrs / 5)
-        .seed(42)
-        .progress_every((instrs / 20).max(1))
-        .observer(|e| {
-            if let SessionEvent::Progress {
-                committed, target, ..
-            } = e
-            {
-                eprint!("\r  {committed}/{target} instructions");
-            }
+        .run_config(RunConfig {
+            instrs,
+            warmup: instrs / 5,
+            seed: 42,
         })
-        .on_finish(|_, lsq| {
-            eprintln!();
-            occ = lsq.occupancy();
+        .progress_every((instrs / 20).max(1))
+        .observer(|e| match e {
+            SessionEvent::Progress {
+                committed, target, ..
+            } => eprint!("\r  {committed}/{target} instructions"),
+            SessionEvent::DesignFinished { lsq, .. } => {
+                eprintln!();
+                occ = lsq.occupancy();
+            }
+            _ => {}
         })
         .run();
     let stats = report.stats();

@@ -102,7 +102,12 @@ fn session_comparison_equals_independent_sessions() {
 #[test]
 fn sweep_points_are_bit_identical_to_manual_runs() {
     let grid = SweepGrid {
-        designs: designs_from_specs([DesignSpec::conventional_paper(), DesignSpec::samie_paper()]),
+        designs: designs_from_specs([
+            DesignSpec::conventional_paper(),
+            DesignSpec::samie_paper(),
+            DesignSpec::filtered_paper(),
+            DesignSpec::Unbounded,
+        ]),
         benchmarks: SweepGrid::parse_benchmarks("gzip,swim").unwrap(),
         seeds: vec![RC.seed],
         rc: RC,
@@ -115,21 +120,18 @@ fn sweep_points_are_bit_identical_to_manual_runs() {
             ..Default::default()
         },
     );
-    assert_eq!(report.points.len(), 4);
+    assert_eq!(report.points.len(), 8);
     for p in &report.points {
         let stats = match p.design.as_str() {
             "conv:128" => manual(&p.bench, ConventionalLsq::paper()),
-            _ => manual(&p.bench, SamieLsq::paper()),
+            "samie:64x2x8:sh8:ab64" => manual(&p.bench, SamieLsq::paper()),
+            "unbounded" => manual(&p.bench, ConventionalLsq::unbounded()),
+            filtered => {
+                assert!(filtered.starts_with("filtered:"), "{filtered}");
+                manual(&p.bench, FilteredLsq::paper())
+            }
         };
-        assert_eq!(p.ipc(), stats.ipc(), "{} {}", p.design, p.bench);
-        assert_eq!(p.cycles(), stats.cycles, "{} {}", p.design, p.bench);
-        assert_eq!(
-            p.deadlock_flushes(),
-            stats.deadlock_flushes,
-            "{} {}",
-            p.design,
-            p.bench
-        );
+        assert_eq!(p.stats, stats, "{} {}", p.design, p.bench);
         assert_eq!(
             p.instructions,
             RC.warmup + stats.committed,

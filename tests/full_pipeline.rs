@@ -2,7 +2,7 @@
 //! all constructed through the [`DesignSpec`] front door.
 
 use exp_harness::runner::RunConfig;
-use exp_harness::session::SimSession;
+use exp_harness::session::{SessionEvent, SimSession};
 use ooo_sim::{SimStats, Simulator};
 use samie_lsq::{DesignSpec, FilteredLsq};
 use spec_traces::{all_benchmarks, by_name, SpecTrace};
@@ -164,12 +164,14 @@ fn bloom_filter_saves_cam_searches_without_changing_timing() {
         let mut rate = 0.0;
         let report = SimSession::new(DesignSpec::filtered_paper(), spec)
             .run_config(RC)
-            .on_finish(|_, lsq| {
-                rate = lsq
-                    .as_any()
-                    .downcast_ref::<FilteredLsq>()
-                    .expect("filtered design")
-                    .filter_rate();
+            .observer(|e| {
+                if let SessionEvent::DesignFinished { lsq, .. } = e {
+                    rate = lsq
+                        .as_any()
+                        .downcast_ref::<FilteredLsq>()
+                        .expect("filtered design")
+                        .filter_rate();
+                }
             })
             .run();
         let filtered = report.stats();

@@ -3,10 +3,11 @@
 //! resume from what was already computed, and corrupt entries are
 //! rejected loudly but recovered from.
 
+use std::path::Path;
 use std::time::Duration;
 
 use exp_harness::runner::{PointCache, RunConfig};
-use exp_harness::sweep::{run_sweep, SweepGrid, SweepOptions};
+use exp_harness::sweep::{run_sweep, SweepGrid, SweepOptions, SweepReport};
 use exp_harness::DesignSpec;
 use exp_store::StoreError;
 
@@ -24,6 +25,20 @@ fn grid(benchmarks: &str, rc: RunConfig) -> SweepGrid {
     )
 }
 
+/// One serial sweep of `g` over the store at `dir`, through a cache
+/// opened for this pass, so the cache's counters are the pass's own.
+fn cached_pass(g: &SweepGrid, dir: &Path) -> (SweepReport, PointCache) {
+    let cache = PointCache::open(dir).unwrap();
+    let report = run_sweep(
+        g,
+        &SweepOptions {
+            jobs: 1,
+            cache: Some(&cache),
+        },
+    );
+    (report, cache)
+}
+
 fn rc() -> RunConfig {
     RunConfig {
         instrs: 6_000,
@@ -35,30 +50,17 @@ fn rc() -> RunConfig {
 #[test]
 fn interrupted_sweep_resumes_from_partial_store() {
     let dir = tmp_dir("resume");
-    let cache = PointCache::open(&dir).unwrap();
 
     // "Interrupted" run: only part of the grid completed before the
     // process died — modelled as a sweep over a benchmark subset (the
     // store records each point the moment it finishes, so a real
     // interruption leaves exactly such a prefix of whole entries).
-    let partial = run_sweep(
-        &grid("gzip", rc()),
-        &SweepOptions {
-            jobs: 1,
-            cache: Some(&cache),
-        },
-    );
-    assert_eq!(partial.misses, 3);
+    let (_, partial) = cached_pass(&grid("gzip", rc()), &dir);
+    assert_eq!(partial.misses(), 3);
 
     // Resuming the full grid recomputes only the missing points...
-    let resumed = run_sweep(
-        &grid("gzip,swim,ammp", rc()),
-        &SweepOptions {
-            jobs: 1,
-            cache: Some(&cache),
-        },
-    );
-    assert_eq!((resumed.hits, resumed.misses), (3, 6));
+    let (resumed, cache) = cached_pass(&grid("gzip,swim,ammp", rc()), &dir);
+    assert_eq!((cache.hits(), cache.misses()), (3, 6));
 
     // ...and the result is byte-identical to a never-interrupted run.
     let cold = run_sweep(
@@ -75,15 +77,9 @@ fn interrupted_sweep_resumes_from_partial_store() {
     );
 
     // A third pass is pure hits with real time saved.
-    let warm = run_sweep(
-        &grid("gzip,swim,ammp", rc()),
-        &SweepOptions {
-            jobs: 1,
-            cache: Some(&cache),
-        },
-    );
-    assert_eq!((warm.hits, warm.misses), (9, 0));
-    assert!(warm.saved > Duration::ZERO);
+    let (warm, cache) = cached_pass(&grid("gzip,swim,ammp", rc()), &dir);
+    assert_eq!((cache.hits(), cache.misses()), (9, 0));
+    assert!(cache.saved() > Duration::ZERO);
     assert_eq!(warm.to_json_deterministic(), cold.to_json_deterministic());
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -91,15 +87,8 @@ fn interrupted_sweep_resumes_from_partial_store() {
 #[test]
 fn corrupt_entry_is_rejected_loudly_and_recomputed() {
     let dir = tmp_dir("corrupt");
-    let cache = PointCache::open(&dir).unwrap();
     let g = grid("gzip", rc());
-    let cold = run_sweep(
-        &g,
-        &SweepOptions {
-            jobs: 1,
-            cache: Some(&cache),
-        },
-    );
+    let (cold, cache) = cached_pass(&g, &dir);
 
     // Vandalise one entry on disk.
     let entries: Vec<_> = std::fs::read_dir(dir.join("entries"))
@@ -129,14 +118,8 @@ fn corrupt_entry_is_rejected_loudly_and_recomputed() {
     assert!(corrupt_seen, "a vandalised entry must surface as Corrupt");
 
     // ...and the sweep recovers by recomputing it, bit-identically.
-    let healed = run_sweep(
-        &g,
-        &SweepOptions {
-            jobs: 1,
-            cache: Some(&cache),
-        },
-    );
-    assert_eq!((healed.hits, healed.misses), (2, 1));
+    let (healed, cache) = cached_pass(&g, &dir);
+    assert_eq!((cache.hits(), cache.misses()), (2, 1));
     assert!(cache.rejected() >= 1, "rejection was counted");
     assert_eq!(healed.to_json_deterministic(), cold.to_json_deterministic());
     std::fs::remove_dir_all(&dir).unwrap();
@@ -145,15 +128,8 @@ fn corrupt_entry_is_rejected_loudly_and_recomputed() {
 #[test]
 fn gc_then_resweep_recomputes_everything() {
     let dir = tmp_dir("gc");
-    let cache = PointCache::open(&dir).unwrap();
     let g = grid("gzip", rc());
-    run_sweep(
-        &g,
-        &SweepOptions {
-            jobs: 1,
-            cache: Some(&cache),
-        },
-    );
+    let (_, cache) = cached_pass(&g, &dir);
     assert_eq!(cache.store().len().unwrap(), 3);
 
     // GC under a *different* version wipes the (now-stale) entries.
@@ -162,13 +138,7 @@ fn gc_then_resweep_recomputes_everything() {
     assert_eq!(report.removed_stale, 3);
     assert!(cache.store().is_empty().unwrap());
 
-    let re = run_sweep(
-        &g,
-        &SweepOptions {
-            jobs: 1,
-            cache: Some(&cache),
-        },
-    );
-    assert_eq!((re.hits, re.misses), (0, 3));
+    let (_, cache) = cached_pass(&g, &dir);
+    assert_eq!((cache.hits(), cache.misses()), (0, 3));
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -110,8 +110,8 @@ fn recorded_rv_program_replays_bit_identically() {
     record_trace(&w, RC.seed, live.ops_consumed, &path).unwrap();
     assert!(
         live.arch_oracle
-            .as_deref()
-            .is_some_and(|s| s.starts_with("arch-oracle ok")),
+            .as_ref()
+            .is_some_and(|v| v.as_ref().is_ok_and(|s| s.starts_with("arch-oracle ok"))),
         "{:?}",
         live.arch_oracle
     );
